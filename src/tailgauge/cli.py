@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -47,11 +48,22 @@ def _layered(args: argparse.Namespace, key: str, cast):
         return val
     env = os.environ.get(ENV_PREFIX + key.upper())
     if env is not None:
-        return cast(env)
+        return _cast(cast, env, ENV_PREFIX + key.upper())
     fileval = _config_file(args).get(key)
     if fileval is not None:
-        return cast(fileval)
+        return _cast(cast, fileval, f"config key {key!r}")
     return _DEFAULTS.get(key)
+
+
+def _cast(cast, text: str, source: str):
+    """Convert user text with ``cast``; ValidationError unless a finite number."""
+    try:
+        val = cast(text)
+    except ValueError:
+        val = math.nan
+    if not -math.inf < val < math.inf:
+        raise ValidationError(f"{source}: not a finite {cast.__name__}: {text!r}")
+    return val
 
 
 def _config_file(args: argparse.Namespace) -> dict:
@@ -60,7 +72,7 @@ def _config_file(args: argparse.Namespace) -> dict:
         return {}
     if getattr(args, "_config_cache", None) is None:
         out = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -75,21 +87,25 @@ def _config_file(args: argparse.Namespace) -> dict:
 
 def _parse_grid(text: str, log_spaced: bool, cast):
     """Grid flag: 'lo:hi:count' (spaced) or a comma-separated list."""
-    if ":" in text:
-        lo, hi, count = text.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
-        if log_spaced:
-            vals = np.geomspace(lo, hi, count)
-        else:
-            vals = np.linspace(lo, hi, count)
-        return [cast(v) for v in vals]
-    return [cast(float(v)) for v in text.split(",")]
+    source = f"grid {text!r}"
+    if ":" not in text:
+        return [cast(_cast(float, v, source)) for v in text.split(",")]
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValidationError(f"{source}: expected 'lo:hi:count'")
+    lo, hi = (_cast(float, v, source) for v in parts[:2])
+    count = _cast(int, parts[2], source)
+    if count < 1 or (log_spaced and not (lo > 0.0 and hi > 0.0)):
+        raise ValidationError(
+            f"{source}: need count >= 1, and positive bounds for log spacing")
+    space = np.geomspace if log_spaced else np.linspace
+    return [cast(v) for v in space(lo, hi, count)]
 
 
 def read_series(path: str) -> np.ndarray:
     """One numeric value per line, optional single header line, UTF-8."""
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for i, line in enumerate(fh):
             text = line.strip()
             if not text:
@@ -299,8 +315,11 @@ def cmd_correct(args: argparse.Namespace) -> None:
     if args.q_hat is None or args.n is None or args.xi is None:
         raise ValidationError("correct requires --q-hat, --n and --xi")
     if args.law_params:
-        a1, a2, a3 = (float(v) for v in args.law_params.split(","))
-        law = BiasLawParams(a1, a2, a3)
+        parts = args.law_params.split(",")
+        if len(parts) != 3:
+            raise ValidationError(
+                f"--law-params: expected 'a1,a2,a3', got {args.law_params!r}")
+        law = BiasLawParams(*(_cast(float, v, "--law-params") for v in parts))
     else:
         law = PRACTICAL_PARAMS
     b = bias_law(law, args.n, args.xi)
@@ -386,7 +405,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as exc:

@@ -1,9 +1,14 @@
 """Maximum-likelihood fitting of the GPD and the asymptotic law of the estimators.
 
-The fitter profiles the likelihood over a coarse shape grid (best scale per
-shape found by a vectorized 1-D log-scale search), then polishes the best
-grid point with a Nelder-Mead simplex in (xi, log sigma).  The profiled start
-avoids the spurious stationary points the raw likelihood surface can have.
+The likelihood profiles to one dimension in theta = xi/sigma (Grimshaw 1993,
+Technometrics 35(2)).  At fixed theta it is unimodal in xi with its peak at
+mean(log1p(theta*x)); clipping that peak to XI_BOX gives the exact
+box-constrained optimum, and the same clip keeps the profile bounded as theta
+approaches the support edge -1/max(x).  The fit maximizes that profile over w,
+where theta*max(x) = expm1(w): w -> -inf is the support edge, w = 0 the
+exponential limit and large w the heavy-tail side.  The best point of a coarse
+w-grid is polished by golden-section search between its neighbours.  Working
+in units of x/max(x) keeps the fit scale-equivariant.
 """
 
 from __future__ import annotations
@@ -18,13 +23,12 @@ from .gpd import XI_ZERO_TOL, GpdParams
 
 # search box for the shape parameter; the asymptotic theory needs xi > -0.5
 XI_BOX = (-0.49, 5.0)
-_XI_GRID = np.linspace(-0.49, 1.0, 41)
-_N_SIGMA_GRID = 13
-_FATOL = 1e-10
-_XATOL = 1e-8
-_MAX_FEV = 10_000
-# cap on elements of the profile-scan workspace before chunking over xi
-_CHUNK_BUDGET = 4_000_000
+# points of the coarse search grid in w, and the golden-section tolerance in w
+_N_GRID = 64
+_W_TOL = 1e-9
+# upper end of the w-bracket when the data do not bound it; expm1 stays finite
+_W_MAX = 700.0
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -73,86 +77,29 @@ def log_likelihood(p: GpdParams, data) -> float:
     return _loglik(p.xi, p.sigma, x)
 
 
-def _profile_start(x: np.ndarray) -> tuple[float, float]:
-    """Coarse (xi, sigma) scan: best log-spaced sigma at each grid xi.
+def _profile(w: float, y: np.ndarray) -> tuple[float, float]:
+    """Box-constrained profile log-likelihood at ``w`` and its maximizing xi.
 
-    Only locates the basin for the simplex polish, so large samples are
-    scanned in float32.
+    ``y`` is the data in units of its maximum and theta*max(x) = expm1(w).
+    At fixed theta the likelihood peaks in xi at mean(log1p(theta*y)), so
+    clipping that peak to XI_BOX gives the box-constrained optimum.
     """
-    n = x.size
-    xbar = float(x.mean())
-    sig_grid = xbar * np.geomspace(1e-3, 1e2, _N_SIGMA_GRID)
-    log_sig = np.log(sig_grid)
-    inv_sig = 1.0 / sig_grid
-
-    dtype = np.float32 if n >= 4096 else np.float64
-    xc = x.astype(dtype, copy=False)
-    best_ll = -np.inf
-    best = (0.1, xbar)
-    chunk = max(1, int(_CHUNK_BUDGET / (n * _N_SIGMA_GRID)))
-    for lo in range(0, _XI_GRID.size, chunk):
-        xi_c = _XI_GRID[lo:lo + chunk]
-        z = xc[:, None, None] * (xi_c[None, :, None] * inv_sig[None, None, :]).astype(dtype)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.log1p(z).sum(axis=0, dtype=np.float64)
-            ll = -n * log_sig[None, :] - (1.0 + 1.0 / xi_c)[:, None] * s
-        ll[~np.isfinite(ll)] = -np.inf
-        i, j = np.unravel_index(np.argmax(ll), ll.shape)
-        if ll[i, j] > best_ll:
-            best_ll = ll[i, j]
-            best = (float(xi_c[i]), float(sig_grid[j]))
-    return best
-
-
-def _nelder_mead(f, x0: np.ndarray, step: float = 0.05):
-    """Minimal 2-D simplex minimizer; returns (x, fx, converged)."""
-    s0 = (x0[0], x0[1])
-    sim = [s0, (x0[0] + step, x0[1]), (x0[0], x0[1] + step)]
-    fv = [f(p) for p in sim]
-    nfev = 3
-    while nfev < _MAX_FEV:
-        pairs = sorted(zip(fv, sim), key=lambda t: t[0])
-        fv = [t[0] for t in pairs]
-        sim = [t[1] for t in pairs]
-        (b0, b1), (w0, w1) = sim[0], sim[2]
-        if (fv[2] - fv[0] < _FATOL
-                and max(abs(sim[1][0] - b0), abs(sim[1][1] - b1),
-                        abs(w0 - b0), abs(w1 - b1)) < _XATOL):
-            return np.array(sim[0]), fv[0], True
-        c0 = 0.5 * (b0 + sim[1][0])
-        c1 = 0.5 * (b1 + sim[1][1])
-        xr = (2.0 * c0 - w0, 2.0 * c1 - w1)
-        fr = f(xr)
-        nfev += 1
-        if fr < fv[0]:
-            xe = (3.0 * c0 - 2.0 * w0, 3.0 * c1 - 2.0 * w1)
-            fe = f(xe)
-            nfev += 1
-            sim[2], fv[2] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fv[1]:
-            sim[2], fv[2] = xr, fr
-        else:
-            toward = xr if fr < fv[2] else sim[2]
-            xc = (c0 + 0.5 * (toward[0] - c0), c1 + 0.5 * (toward[1] - c1))
-            fc = f(xc)
-            nfev += 1
-            if fc < min(fr, fv[2]):
-                sim[2], fv[2] = xc, fc
-            else:
-                sim[1] = (b0 + 0.5 * (sim[1][0] - b0), b1 + 0.5 * (sim[1][1] - b1))
-                sim[2] = (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1))
-                fv[1], fv[2] = f(sim[1]), f(sim[2])
-                nfev += 2
-    i = int(np.argmin(fv))
-    return np.array(sim[i]), fv[i], False
+    n = y.size
+    theta = math.expm1(w)
+    if theta == 0.0:
+        return -n * (math.log(float(y.mean())) + 1.0), 0.0
+    s = float(np.log1p(theta * y).sum())
+    xi = min(max(s / n, XI_BOX[0]), XI_BOX[1])
+    return -n * math.log(xi / theta) - (1.0 + 1.0 / xi) * s, xi
 
 
 def fit(data) -> MleEstimate:
     """Maximize the GPD likelihood over xi in [-0.49, 5], sigma > 0.
 
     Raises ValidationError for fewer than two points, negative values, or
-    constant data.  A stalled simplex is reported via ``converged=False``
-    rather than an exception.
+    constant data.  A maximizer found at the edge of the search bracket (the
+    likelihood may be unbounded when many points are zero) is reported via
+    ``converged=False`` rather than an exception.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -164,22 +111,45 @@ def fit(data) -> MleEstimate:
     if x.max() == x.min():
         raise ValidationError("constant data: likelihood is degenerate")
 
-    xi0, sig0 = _profile_start(x)
+    n = x.size
+    scale = float(x.max())
+    y = x / scale
+    # The profile's slope brackets its maximizer.  Below -log1p(n) the point
+    # at the support edge alone makes it increase.  Once theta*y >= 10 for
+    # all but n/12 points it decreases, because 1 + 1/xi >= 1.2 in the box.
+    j = n // 12
+    y_j = float(np.partition(y, j)[j])
+    w_hi = min(math.log1p(10.0 / y_j), _W_MAX) if y_j > 0.0 else _W_MAX
+    grid = np.linspace(-math.log1p(n), w_hi, _N_GRID)
+    vals = [_profile(w, y)[0] for w in grid]
+    i = int(np.argmax(vals))
 
-    def negll(theta):
-        xi, log_sig = theta
-        if not (XI_BOX[0] <= xi <= XI_BOX[1]) or abs(log_sig) > 700.0:
-            return math.inf
-        v = _loglik(xi, math.exp(log_sig), x)
-        return math.inf if v == -math.inf else -v
+    # golden-section search between the best grid point's neighbours
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, _N_GRID - 1)]
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = _profile(c, y)[0], _profile(d, y)[0]
+    while b - a > _W_TOL:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = _profile(c, y)[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = _profile(d, y)[0]
+    w, best = (c, fc) if fc >= fd else (d, fd)
+    if vals[i] > best:
+        w = float(grid[i])
 
-    theta, fmin, converged = _nelder_mead(negll, np.array([xi0, math.log(sig0)]))
+    xi = _profile(w, y)[1]
+    theta = math.expm1(w)
+    sigma = scale * xi / theta if theta != 0.0 else float(x.mean())
     return MleEstimate(
-        xi_hat=float(theta[0]),
-        sigma_hat=float(math.exp(theta[1])),
-        log_likelihood=float(-fmin),
-        n=int(x.size),
-        converged=bool(converged),
+        xi_hat=xi,
+        sigma_hat=sigma,
+        log_likelihood=_loglik(xi, sigma, x),
+        n=n,
+        converged=bool(grid[0] + _W_TOL < w < grid[-1] - _W_TOL),
     )
 
 

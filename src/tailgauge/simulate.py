@@ -62,7 +62,11 @@ def _stream(seed: int, replication: int) -> np.random.Generator:
 
 
 def _replicate(config: SimConfig):
-    """Per-replication MLE results as arrays (xi_hat, sigma_hat, converged)."""
+    """Converged per-replication MLE results (xi_hat, sigma_hat, failed count).
+
+    Raises NumericalError when more than MAX_FAILED_FRACTION of the fits
+    fail to converge.
+    """
     xi_hat = np.empty(config.replications)
     sigma_hat = np.empty(config.replications)
     ok = np.empty(config.replications, dtype=bool)
@@ -70,19 +74,19 @@ def _replicate(config: SimConfig):
         x = sample(config.params, _stream(config.seed, r), config.n)
         est = fit(x)
         xi_hat[r], sigma_hat[r], ok[r] = est.xi_hat, est.sigma_hat, est.converged
-    return xi_hat, sigma_hat, ok
-
-
-def run(config: SimConfig) -> SimReport:
-    """Replicate the estimation experiment and compare against the theory CDF."""
-    xi_hat, sigma_hat, ok = _replicate(config)
     failed = int((~ok).sum())
     if failed > MAX_FAILED_FRACTION * config.replications:
         raise NumericalError(
             f"{failed}/{config.replications} replications failed to converge")
+    return xi_hat[ok], sigma_hat[ok], failed
+
+
+def run(config: SimConfig) -> SimReport:
+    """Replicate the estimation experiment and compare against the theory CDF."""
+    xi_hat, sigma_hat, failed = _replicate(config)
     q_hats = np.array([
         quantile(GpdParams(s, x), config.alpha)
-        for x, s in zip(xi_hat[ok], sigma_hat[ok])
+        for x, s in zip(xi_hat, sigma_hat)
     ])
     spec = DensitySpec(
         n=config.n, alpha=config.alpha, sigma=config.params.sigma,
@@ -145,12 +149,8 @@ def check_mle_asymptotics(config: SimConfig):
     """
     if config.replications < 1000:
         raise ValidationError("asymptotics check needs >= 1000 replications")
-    xi_hat, sigma_hat, ok = _replicate(config)
-    failed = int((~ok).sum())
-    if failed > MAX_FAILED_FRACTION * config.replications:
-        raise NumericalError(
-            f"{failed}/{config.replications} replications failed to converge")
-    emp = np.cov(np.vstack([xi_hat[ok], sigma_hat[ok]]))
+    xi_hat, sigma_hat, _failed = _replicate(config)
+    emp = np.cov(np.vstack([xi_hat, sigma_hat]))
     theo = asymptotic_covariance(config.params, config.n).cov_matrix
     max_rel = float(np.max(np.abs(emp - theo) / np.abs(theo)))
     return emp, theo, max_rel

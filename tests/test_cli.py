@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tailgauge as tg
+from tailgauge import cli
 from tailgauge.cli import _emit_json, main, read_series
 
 
@@ -226,3 +227,34 @@ class TestConfigLayering:
     def test_io_error_exit_code(self, tmp_path):
         assert main(["correct", "--q-hat", "1.0", "--n", "10", "--xi", "0.1",
                      "--out", str(tmp_path / "no" / "dir" / "x.json")]) == 4
+
+
+class TestExitCodes:
+    def test_bad_env_value_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TAILGAUGE_ALPHA", "abc")
+        assert main(["density", "--n", "100", "--xi", "0.25"]) == 2
+        assert "TAILGAUGE_ALPHA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, text", [
+        (["bias-table", "--grid-n", "0:1000:20"], "0:1000:20"),
+        (["bias-table", "--grid-n", "50:1000"], "50:1000"),
+        (["bias-table", "--grid-n", "50:1000:0"], "50:1000:0"),
+        (["bias-table", "--grid-xi", "0,abc"], "0,abc"),
+        (["correct", "--q-hat", "5", "--n", "10", "--xi", "0.1",
+          "--law-params=1,2"], "1,2"),
+    ])
+    def test_bad_user_text_exits_2(self, argv, text, capsys):
+        assert main(argv) == 2
+        assert text in capsys.readouterr().err
+
+    def test_non_utf8_series_exits_2(self, tmp_path):
+        p = tmp_path / "binary.csv"
+        p.write_bytes(b"\xff\xfe1.0\n")
+        assert main(["fit", str(p)]) == 2
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        def broken(args):
+            raise ValueError("internal bug")
+        monkeypatch.setattr(cli, "cmd_correct", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["correct", "--q-hat", "5", "--n", "10", "--xi", "0.1"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tailgauge as tg
-from tailgauge.mle import _loglik
+from tailgauge.mle import XI_BOX, _loglik
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -107,6 +107,19 @@ class TestFit:
                         continue
                     ll = _loglik(est.xi_hat * (1 + dx), est.sigma_hat * (1 + ds), x)
                     assert ll <= center + 1e-9
+
+
+@pytest.mark.parametrize("xi, n, edge", [(10.0, 50, 1), (10.0, 200, 1),
+                                         (-0.48, 20, 0)])
+def test_box_edge_optimum_beats_grid_through_the_edge(xi, n, edge):
+    # the constrained optimum sits on the box edge, reached exactly
+    x = tg.sample(tg.GpdParams(1.0, xi), np.random.default_rng(16), n)
+    est = tg.fit(x)
+    assert est.xi_hat == XI_BOX[edge]
+    _, _, ll_grid = _grid_search(
+        x, np.linspace(XI_BOX[0], XI_BOX[1], 200),
+        float(np.median(x)) * np.geomspace(1e-5, 1e2, 300))
+    assert est.log_likelihood >= ll_grid - 1e-9
 
 
 class TestAsymptoticCovariance:
