@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel
 
 LN10 = math.log(10.0)
@@ -57,15 +57,26 @@ class BiasSurface:
 
 # rounded constants for practice; exact inputs to correct_quantile's default
 PRACTICAL_PARAMS = BiasLawParams(-1.0, 3.5, 1.5)
+# the confidence level PRACTICAL_PARAMS and CALIBRATED_PARAMS hold for
+PRACTICAL_ALPHA = 0.999
 # regression constants published for the alpha = 0.999, sigma = 1 surface
 CALIBRATED_PARAMS = BiasLawParams(-1.00733, 3.49572, 1.49397)
 
 
 def bias_law(params: BiasLawParams, n: int, xi: float) -> float:
-    """Evaluate the bias law at sample size ``n`` and shape ``xi``."""
+    """Evaluate the bias law at sample size ``n`` and shape ``xi``.
+
+    Raises NumericalError when the value overflows a double.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    return float(n) ** params.a1 * math.exp(LN10 * (params.a2 * xi + params.a3))
+    try:
+        value = float(n) ** params.a1 * math.exp(LN10 * (params.a2 * xi + params.a3))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericalError(f"bias law overflows a double at n={n}, xi={xi}")
+    return value
 
 
 def bias_practical(n: int, xi: float) -> float:

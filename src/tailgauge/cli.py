@@ -16,8 +16,8 @@ import warnings
 
 import numpy as np
 
-from .bias import (BiasLawParams, PRACTICAL_PARAMS, bias_law, bias_practical,
-                   fit_bias_law)
+from .bias import (BiasLawParams, PRACTICAL_ALPHA, PRACTICAL_PARAMS, bias_law,
+                   bias_practical, fit_bias_law)
 from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, DensitySpec,
                       bias_variance_surface, density, evaluation_window)
 from .errors import NumericalError, ValidationError
@@ -180,7 +180,7 @@ def cmd_fit(args: argparse.Namespace) -> None:
         warn.append("n_hat_below_validated_region")
 
     b_practical = bias_practical(sel.n_hat, est.xi_hat)
-    if alpha.alpha == 0.999:
+    if math.isclose(alpha.alpha, PRACTICAL_ALPHA, rel_tol=0.0, abs_tol=1e-12):
         # the bias scales exactly linearly in sigma, so the sigma=1 law applies
         b_applied = est.sigma_hat * b_practical
         law_source = "practical_sigma_scaled"
@@ -408,7 +408,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ArithmeticError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

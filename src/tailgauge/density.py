@@ -9,10 +9,15 @@ estimators through the quantile map.  The density is
                + (u-xi)(z psi(u) - sigma)/((1+xi) sigma)
                + (z psi(u) - sigma)^2 / (2 sigma^2) ] }
 
-with ``psi(u) = u / ((1-alpha)**(-u) - 1)``.  Moments are computed two ways:
-a Gauss-Hermite expectation of ``v/psi(u)`` under the bivariate normal (fast,
-shipped default) and direct quadrature of the density over an adaptively
-chosen z-window (cross-check route, also supplies the normalization defect).
+with ``psi(u) = u / ((1-alpha)**(-u) - 1)``.  Given ``u = xi_hat``, the scale
+estimator is normal with mean ``m(u) = sigma - sigma (u-xi)/(1+xi)`` and
+variance ``s^2 = sigma^2 (1+2 xi)/n``; since ``psi > 0`` the CDF is the
+conditional-normal u-integral ``F(z) = E_u Phi((z psi(u) - m(u))/s)``.  The
+density and the CDF are weighted sums over one adaptive u-rule.  Moments are
+computed two ways: a Gauss-Hermite expectation of ``v/psi(u)`` under the
+bivariate normal (fast, shipped default, and the source of the bias/variance
+surface) and direct quadrature of the density over an adaptively chosen
+z-window (cross-check route, also supplies the normalization defect).
 The approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5];
 anything else must be requested explicitly and is flagged by a warning.
 """
@@ -32,11 +37,40 @@ from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationEr
 from .gpd import ConfidenceLevel, GpdParams, quantile
 from .mle import asymptotic_covariance
 from .quadrature import (KRONROD_WEIGHTS, GAUSS_WEIGHTS, fixed_panel_rule,
-                         integrate_adaptive, panel_nodes)
+                         integrate_adaptive)
 
 GH_NODES = 96
 _U_ZERO_TOL = 1e-8
 _U_SERIES_BAND = 1e-4
+# elements of the (u, z) workspace of one chunk of the u-sums
+_WORKSPACE = 4_000_000
+
+# rational approximations of erf/erfc (Cody 1969, Math. Comp. 23, as in his
+# CALERF): |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02,
+          3.77485237685302021e02, 3.20937758913846947e03,
+          1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02,
+          1.28261652607737228e03, 2.84423683343917062e03)
+_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00,
+          6.61191906371416295e01, 2.98635138197400131e02,
+          8.81952221241769090e02, 1.71204761263407058e03,
+          2.05107837782607147e03, 1.23033935479799725e03,
+          2.15311535474403846e-8)
+_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02,
+          5.37181101862009858e02, 1.62138957456669019e03,
+          3.29079923573345963e03, 4.36261909014324716e03,
+          3.43936767414372164e03, 1.23033935480374942e03)
+_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1,
+          1.25781726111229246e-1, 1.60837851487422766e-2,
+          6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERF_Q = (2.56852019228982242e00, 1.87295284992346725e00,
+          5.27905102951428412e-1, 6.05183413124413191e-2,
+          2.33520497626869185e-3)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+# erfc(x) rounds to 0 from here on; skipping those arguments also keeps
+# exp() out of its slow subnormal range
+_ERFC_ZERO = 27.3
 
 # grid used for the published bias/variance tables: 20 log-spaced sample sizes
 # in [50, 1000] and shape steps of 0.1
@@ -121,6 +155,44 @@ def _psi_of(t: float, u: np.ndarray):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _nested(num, den, x):
+    """Numerator and denominator of Cody's rational form, less their last terms."""
+    xnum, xden = num[-1] * x, x
+    for a, b in zip(num[:len(den) - 1], den[:-1]):
+        xnum = (xnum + a) * x
+        xden = (xden + b) * x
+    return xnum, xden
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function, elementwise, to a few ulp (Cody 1969)."""
+    y = np.abs(x)
+    out = np.zeros_like(y)
+    small = y <= 0.46875
+    mid = (y > 0.46875) & (y <= 4.0)
+    big = ~(y <= 4.0) & ~(y >= _ERFC_ZERO)   # NaN falls here and stays NaN
+    xs = x[small]
+    num, den = _nested(_ERF_A, _ERF_B, xs * xs)
+    out[small] = 1.0 - xs * (num + _ERF_A[3]) / (den + _ERF_B[3])
+    ym = y[mid]
+    num, den = _nested(_ERF_C, _ERF_D, ym)
+    out[mid] = _times_gauss(ym, (num + _ERF_C[7]) / (den + _ERF_D[7]))
+    yb = y[big]
+    w = 1.0 / (yb * yb)
+    num, den = _nested(_ERF_P, _ERF_Q, w)
+    out[big] = _times_gauss(
+        yb, (_INV_SQRT_PI - w * (num + _ERF_P[4]) / (den + _ERF_Q[4])) / yb)
+    flip = (x < 0.0) & ~small
+    out[flip] = 2.0 - out[flip]
+    return out
+
+
+def _times_gauss(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """r * exp(-y^2), with y^2 split so that its rounding does not enter."""
+    head = np.trunc(16.0 * y) / 16.0
+    return np.exp(-head * head) * np.exp(-(y - head) * (y + head)) * r
 
 
 class _Plan(NamedTuple):
@@ -209,20 +281,33 @@ def _build_u_schedule(spec: DensitySpec, t: float, probes: np.ndarray):
         f"refinements at (n={spec.n}, xi={spec.xi})")
 
 
-def _density_raw(spec: DensitySpec, t: float, u_nodes: np.ndarray,
-                 u_weights: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _u_sum(weights: np.ndarray, z: np.ndarray, matrix) -> np.ndarray:
+    """``weights @ matrix(z)``, over chunks of ``z`` that keep the (u, z)
+    workspace within _WORKSPACE elements."""
     out = np.empty(z.shape, dtype=float)
-    # chunk so the (u, z) workspace stays bounded
-    step = max(1, int(4_000_000 / max(u_nodes.size, 1)))
-    pref = _prefactor(spec)
+    step = max(1, _WORKSPACE // max(weights.size, 1))
     for k in range(0, z.size, step):
-        m = _integrand_matrix(spec, t, u_nodes, z[k:k + step])
-        out[k:k + step] = pref * (u_weights @ m)
+        out[k:k + step] = weights @ matrix(z[k:k + step])
     return out
 
 
 def _density_from_plan(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
-    return _density_raw(spec, plan.t, plan.u_nodes, plan.u_weights, z)
+    return _prefactor(spec) * _u_sum(
+        plan.u_weights, z, lambda zz: _integrand_matrix(spec, plan.t, plan.u_nodes, zz))
+
+
+def _cdf_from_plan(spec: DensitySpec, plan: _Plan, q: np.ndarray) -> np.ndarray:
+    """``E_u Phi((q psi(u) - m(u))/s)`` on the plan's u-rule, with
+    ``Phi(x) = erfc(-x/sqrt(2))/2``."""
+    xi, sigma = spec.xi, spec.sigma
+    du = plan.u_nodes - xi
+    sd_u = (1.0 + xi) / math.sqrt(spec.n)
+    scale = sigma * math.sqrt(2.0 * (1.0 + 2.0 * xi) / spec.n)   # sqrt(2) s
+    w = 0.5 * plan.u_weights * np.exp(-0.5 * (du / sd_u) ** 2) \
+        / (sd_u * math.sqrt(2.0 * math.pi))
+    a = (_psi_of(plan.t, plan.u_nodes) / scale)[:, None]
+    b = ((sigma - sigma * du / (1.0 + xi)) / scale)[:, None]
+    return _u_sum(w, q, lambda qq: _erfc(b - a * qq[None, :]))
 
 
 @lru_cache(maxsize=256)
@@ -292,44 +377,19 @@ def density(spec: DensitySpec, z):
 
 
 def cdf_of_estimator(spec: DensitySpec, q):
-    """CDF of the quantile estimator at ``q`` (scalar or array)."""
+    """CDF of the quantile estimator at ``q`` (scalar or array).
+
+    The density's mass from the lower edge of ``evaluation_window`` to ``q``
+    (clipped to the window): exactly 0 below the window.
+    """
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
-    if np.ndim(q) == 0:
-        return float(_cdf_sorted(spec, plan, np.array([float(q)]))[0])
-    qa = np.asarray(q, dtype=float)
-    order = np.argsort(qa, kind="stable")
-    vals = _cdf_sorted(spec, plan, qa[order])
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
-
-
-def _cdf_sorted(spec: DensitySpec, plan: _Plan, qs: np.ndarray) -> np.ndarray:
-    """Cumulative integrals of the density at ascending points ``qs``."""
     lo, hi = _window(spec, moments=False)
-    pts = np.clip(qs, lo, hi)
-    cuts = np.concatenate([[lo], pts])
-    # split each [cuts_i, cuts_{i+1}] segment into panels no wider than base
-    base = (hi - lo) / 1024.0
-    seg_lo, seg_hi = cuts[:-1], cuts[1:]
-    n_sub = np.maximum(1, np.ceil((seg_hi - seg_lo) / base)).astype(int)
-    starts = np.repeat(seg_lo, n_sub)
-    counts = np.repeat(n_sub, n_sub)
-    offs = np.concatenate([np.arange(k) for k in n_sub]) if n_sub.size else np.array([])
-    widths = np.repeat((seg_hi - seg_lo), n_sub) / counts
-    p_lo = starts + offs * widths
-    p_hi = p_lo + widths
-
-    halves = 0.5 * (p_hi - p_lo)
-    nodes = panel_nodes(p_lo, p_hi)
-    fv = _density_from_plan(spec, plan, nodes.ravel()).reshape(nodes.shape)
-    panel_vals = (fv @ KRONROD_WEIGHTS) * halves
-
-    seg_ids = np.repeat(np.arange(seg_lo.size), n_sub)
-    seg_vals = np.zeros(seg_lo.size)
-    np.add.at(seg_vals, seg_ids, panel_vals)
-    return np.clip(np.cumsum(seg_vals), 0.0, 1.0)
+    qa = np.atleast_1d(np.asarray(q, dtype=float))
+    g = _cdf_from_plan(spec, plan, np.concatenate([[lo], np.clip(qa, lo, hi)]))
+    out = np.clip(g[1:] - g[0], 0.0, 1.0)
+    out[qa <= lo] = 0.0
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
@@ -372,17 +432,23 @@ def bias_variance_surface(
     n_values, xi_values, alpha: ConfidenceLevel, sigma: float,
     quad: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> BiasSurface:
-    """QuantileStats over the (n, xi) grid, row-major by n then xi."""
+    """Bias and variance over the (n, xi) grid, row-major by n then xi.
+
+    Each cell carries the Gauss-Hermite moments that ``stats`` returns, taken
+    from the cell's plan; building the plan also checks that its u-rule
+    resolves at ``quad``'s accuracy.
+    """
     rows = []
     for n in n_values:
         for xi in xi_values:
             spec = DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi),
                                quad=quad)
             try:
-                st = stats(spec)
+                plan = _plan(spec)
             except QuadratureError as exc:
                 raise QuadratureError(
                     f"surface cell (n={n}, xi={xi}) failed: {exc}") from exc
             rows.append(SurfaceRow(n=int(n), xi=float(xi),
-                                   bias=st.bias, variance=st.variance))
+                                   bias=plan.gh_mean - plan.q_true,
+                                   variance=plan.gh_var))
     return BiasSurface(alpha=alpha, sigma=sigma, rows=tuple(rows))

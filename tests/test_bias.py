@@ -27,6 +27,15 @@ class TestBiasLaw:
         with pytest.raises(tg.ValidationError):
             tg.bias_law(tg.PRACTICAL_PARAMS, 0, 0.2)
 
+    @pytest.mark.parametrize("params, n", [
+        ((1.0, 1000.0, 1.0), 10),       # exp(...) overflows
+        ((400.0, 0.0, 0.0), 10),        # n**a1 overflows
+        ((200.0, 0.0, 200.0), 10),      # both factors finite, product not
+    ])
+    def test_overflow_is_numerical_error(self, params, n):
+        with pytest.raises(tg.NumericalError, match="overflows"):
+            tg.bias_law(tg.BiasLawParams(*params), n, 1.0)
+
 
 class TestBiasPractical:
     def test_fig1_configuration(self):

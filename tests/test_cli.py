@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +71,26 @@ class TestFitCommand:
 
     def test_missing_file_is_io_error(self):
         assert main(["fit", "/nonexistent/losses.csv"]) == 4
+
+    @pytest.mark.parametrize("source, text", [
+        ("flag", "0.999"), ("env", "0.999"), ("config", "0.999"),
+        ("config", "0.99900000000001"),
+    ])
+    def test_practical_law_at_practical_alpha(self, big_series, tmp_path,
+                                              monkeypatch, source, text):
+        path, _ = big_series
+        out = tmp_path / "fit.json"
+        argv = ["fit", str(path), "--out", str(out)]
+        if source == "flag":
+            argv += ["--alpha", text]
+        elif source == "env":
+            monkeypatch.setenv("TAILGAUGE_ALPHA", text)
+        else:
+            cfg = tmp_path / "tg.conf"
+            cfg.write_text(f"alpha = {text}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["bias_law_source"] == "practical_sigma_scaled"
 
     def test_fresh_law_for_other_alpha(self, big_series, tmp_path):
         path, _ = big_series
@@ -252,9 +275,32 @@ class TestExitCodes:
         p.write_bytes(b"\xff\xfe1.0\n")
         assert main(["fit", str(p)]) == 2
 
+    def test_bias_law_overflow_exits_3(self, capsys):
+        assert main(["correct", "--q-hat", "5", "--n", "10", "--xi", "1",
+                     "--law-params=1,1000,1"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_internal_arithmetic_error_propagates(self, monkeypatch):
+        def broken(args):
+            raise ZeroDivisionError("internal bug")
+        monkeypatch.setattr(cli, "cmd_correct", broken)
+        with pytest.raises(ZeroDivisionError, match="internal bug"):
+            main(["correct", "--q-hat", "5", "--n", "10", "--xi", "0.1"])
+
     def test_internal_value_error_propagates(self, monkeypatch):
         def broken(args):
             raise ValueError("internal bug")
         monkeypatch.setattr(cli, "cmd_correct", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["correct", "--q-hat", "5", "--n", "10", "--xi", "0.1"])
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy is a test oracle
+    src = os.path.dirname(os.path.dirname(tg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, tailgauge.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import tailgauge as tg
-from tailgauge.density import evaluation_window
+from tailgauge.density import _erfc, evaluation_window
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -155,6 +155,33 @@ class TestCdf:
         f = tg.cdf_of_estimator(fig1_spec, q)
         assert np.all(np.diff(f) >= -1e-12)
 
+    @pytest.mark.parametrize("n, xi, alpha, sigma, qs", [
+        (100, 0.25, 0.999, 1.0, (12.0, 18.494, 30.0)),
+        (200, 0.4, 0.99, 2.0, (15.0, 26.5, 40.0)),
+        # a window 8e4 wide around a mode near 30
+        (50, 0.5, 0.999, 1.0, (20.0, 60.0, 200.0)),
+    ])
+    def test_mass_from_window_edge_matches_oracle(self, n, xi, alpha, sigma, qs):
+        spec = _spec(n, xi, alpha=alpha, sigma=sigma)
+        lo, _hi = evaluation_window(spec)
+        for q in qs:
+            ref, _ = integrate.quad(lambda z: _oracle_density(spec, z), lo, q,
+                                    limit=400, epsabs=1e-12, epsrel=1e-11)
+            assert abs(tg.cdf_of_estimator(spec, q) - ref) <= 1e-8
+
+    def test_erfc_against_scipy(self):
+        # on the dyadic grid k/1024, x*x is exact, so the oracle's own
+        # exp(-x*x) is not off by the ~x^2 ulp that its rounding costs
+        # elsewhere (5.7e-14 relative near x = 26)
+        x = np.append(np.arange(-40 * 1024, 40 * 1024 + 1) / 1024.0, -0.0)
+        mine, ref = _erfc(x), special.erfc(x)
+        normal = ref >= np.finfo(float).tiny
+        np.testing.assert_allclose(mine[normal], ref[normal], rtol=1e-14, atol=0.0)
+        # a subnormal double carries no relative accuracy
+        np.testing.assert_allclose(mine[~normal], ref[~normal], rtol=0.0,
+                                   atol=np.finfo(float).tiny)
+        assert _erfc(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
+
 
 class TestStats:
     def test_fig1_bias_pin(self, fig1_stats):
@@ -250,6 +277,14 @@ class TestSurface:
             small = (math.log(v[100]) - math.log(v[50])) / (math.log(100) - math.log(50))
             big = (math.log(v[1000]) - math.log(v[500])) / (math.log(1000) - math.log(500))
             assert small < big
+
+    def test_cells_equal_stats_bitwise(self, default_grid_stats):
+        surf = tg.bias_variance_surface(tg.DEFAULT_N_GRID, tg.DEFAULT_XI_GRID,
+                                        A999, 1.0)
+        assert len(surf.rows) == len(default_grid_stats)
+        for r in surf.rows:
+            st = default_grid_stats[(r.n, r.xi)]
+            assert (r.bias, r.variance) == (st.bias, st.variance)
 
     def test_quadrature_failure_carries_coordinates(self):
         tiny = tg.QuadratureConfig(rel_tol=1e-15, max_refinements=0)
