@@ -19,7 +19,7 @@ import numpy as np
 from .bias import (BiasLawParams, PRACTICAL_ALPHA, PRACTICAL_PARAMS, bias_law,
                    bias_practical, fit_bias_law)
 from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, DensitySpec,
-                      bias_variance_surface, density, evaluation_window)
+                      _estimator_quantiles, bias_variance_surface, density)
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, quantile
 from .simulate import SimConfig, run
@@ -30,6 +30,7 @@ ENV_PREFIX = "TAILGAUGE_"
 TAIL_FRACTION_BOUNDS = (0.02, 0.5)
 MIN_FIT_ROWS = 100
 DENSITY_GRID_POINTS = 512
+DENSITY_GRID_PROBS = (1e-4, 1.0 - 1e-4)
 HISTOGRAM_BINS = 30
 
 _DEFAULTS = {
@@ -228,7 +229,7 @@ def _spec_from_args(args: argparse.Namespace) -> DensitySpec:
 
 def cmd_density(args: argparse.Namespace) -> None:
     spec = _spec_from_args(args)
-    lo, hi = evaluation_window(spec)
+    lo, hi = _estimator_quantiles(spec, DENSITY_GRID_PROBS)
     z = np.linspace(lo, hi, DENSITY_GRID_POINTS)
     f = density(spec, z)
     _emit_csv(["z", "f_q"], zip(z.tolist(), f.tolist()), args.out)

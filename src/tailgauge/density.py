@@ -12,12 +12,12 @@ estimators through the quantile map.  The density is
 with ``psi(u) = u / ((1-alpha)**(-u) - 1)``.  Given ``u = xi_hat``, the scale
 estimator is normal with mean ``m(u) = sigma - sigma (u-xi)/(1+xi)`` and
 variance ``s^2 = sigma^2 (1+2 xi)/n``; since ``psi > 0`` the CDF is the
-conditional-normal u-integral ``F(z) = E_u Phi((z psi(u) - m(u))/s)``.  The
-density and the CDF are weighted sums over one adaptive u-rule.  Moments are
-computed two ways: a Gauss-Hermite expectation of ``v/psi(u)`` under the
-bivariate normal (fast, shipped default, and the source of the bias/variance
-surface) and direct quadrature of the density over an adaptively chosen
-z-window (cross-check route, also supplies the normalization defect).
+conditional-normal u-integral ``F(z) = E_u Phi((z psi(u) - m(u))/s)``, and
+the moments are ``E z = E_u m/psi`` and ``E z^2 = E_u (m^2 + s^2)/psi^2``.
+The density, the CDF and the moments (and so the bias/variance surface) are
+weighted sums over one adaptive u-rule.  Direct quadrature of the density
+over an adaptively chosen z-window is kept only as the independent
+cross-check: ``stats(method="quadrature")`` and the normalization defect.
 The approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5];
 anything else must be requested explicitly and is flagged by a warning.
 """
@@ -35,15 +35,17 @@ import numpy as np
 from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, quantile
-from .mle import asymptotic_covariance
-from .quadrature import (KRONROD_WEIGHTS, GAUSS_WEIGHTS, fixed_panel_rule,
-                         integrate_adaptive)
+from .quadrature import _panel_sums, fixed_panel_rule, integrate_adaptive
 
-GH_NODES = 96
 _U_ZERO_TOL = 1e-8
 _U_SERIES_BAND = 1e-4
 # elements of the (u, z) workspace of one chunk of the u-sums
 _WORKSPACE = 4_000_000
+# the u-rule spans xi - 10 sd_u to 10 sd_u above the peak of the second-moment
+# integrand, which psi^-2 ~ exp(2 t u) shifts 2 t sd_u^2 above xi
+_U_HALFWIDTH_SDS = 10.0
+_PROBE_SDS = np.array([-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0])
+_Z_EXPANSION = 1.5
 
 # rational approximations of erf/erfc (Cody 1969, Math. Comp. 23, as in his
 # CALERF): |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4
@@ -80,17 +82,15 @@ DEFAULT_XI_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Accuracy knobs for the density quadrature."""
+    """Accuracy knobs: the u-rule's, the z-window's and the z-quadrature's
+    relative tolerance, and the cap on their refinement or widening steps."""
 
     rel_tol: float = 1e-8
-    u_halfwidth_sds: float = 10.0
-    z_expansion_factor: float = 1.5
     max_refinements: int = 20
 
     def __post_init__(self):
-        for name in ("rel_tol", "u_halfwidth_sds", "z_expansion_factor"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive")
+        if not self.rel_tol > 0.0:
+            raise ValidationError("rel_tol must be positive")
         if self.max_refinements < 0:
             raise ValidationError("max_refinements must be >= 0")
 
@@ -198,16 +198,10 @@ def _times_gauss(y: np.ndarray, r: np.ndarray) -> np.ndarray:
 class _Plan(NamedTuple):
     t: float
     q_true: float
-    gh_mean: float
-    gh_var: float
+    mean: float
+    var: float
     u_nodes: np.ndarray
     u_weights: np.ndarray
-
-
-@lru_cache(maxsize=128)
-def _hermgauss(m: int):
-    x, w = np.polynomial.hermite.hermgauss(m)
-    return x, w
 
 
 def _warn_if_unvalidated(spec: DensitySpec) -> None:
@@ -216,21 +210,6 @@ def _warn_if_unvalidated(spec: DensitySpec) -> None:
             f"(n={spec.n}, xi={spec.xi}) lies outside the validated region; "
             "results are an unchecked extrapolation",
             OutsideValidatedRegionWarning, stacklevel=3)
-
-
-def _gh_moments(spec: DensitySpec) -> tuple[float, float]:
-    """Mean and variance of v/psi(u) under the limiting normal law."""
-    t = -math.log1p(-spec.alpha.alpha)
-    cov = asymptotic_covariance(GpdParams(spec.sigma, spec.xi), spec.n).cov_matrix
-    L = np.linalg.cholesky(cov)
-    x, w = _hermgauss(GH_NODES)
-    W = np.outer(w, w) / math.pi
-    u = spec.xi + math.sqrt(2.0) * L[0, 0] * x
-    v = spec.sigma + math.sqrt(2.0) * (L[1, 0] * x[:, None] + L[1, 1] * x[None, :])
-    g = v / _psi_of(t, u)[:, None]
-    mean = float((W * g).sum())
-    var = float((W * (g - mean) ** 2).sum())
-    return mean, var
 
 
 def _integrand_matrix(spec: DensitySpec, t: float, u: np.ndarray, z: np.ndarray):
@@ -250,26 +229,47 @@ def _prefactor(spec: DensitySpec) -> float:
     return spec.n / (2.0 * math.pi * spec.sigma * math.sqrt(poly))
 
 
-def _build_u_schedule(spec: DensitySpec, t: float, probes: np.ndarray):
+def _conditional_law(spec: DensitySpec, t: float, u: np.ndarray, weights: np.ndarray):
+    """The law of (u, v) on a u-rule: the rule weights times the normal
+    density of u, psi(u), and the mean m(u) and sd s of v given u."""
+    xi, sigma = spec.xi, spec.sigma
+    du = u - xi
+    sd_u = (1.0 + xi) / math.sqrt(spec.n)
+    w = weights * np.exp(-0.5 * (du / sd_u) ** 2) / (sd_u * math.sqrt(2.0 * math.pi))
+    m = sigma - sigma * du / (1.0 + xi)
+    s = sigma * math.sqrt((1.0 + 2.0 * xi) / spec.n)
+    return w, _psi_of(t, u), m, s
+
+
+def _moments(spec: DensitySpec, t: float, u: np.ndarray, weights: np.ndarray):
+    """Mean and variance of z = v/psi(u): ``E_u m/psi`` and
+    ``E_u (m^2 + s^2)/psi^2`` less the squared mean."""
+    w, pu, m, s = _conditional_law(spec, t, u, weights)
+    mean = float(w @ (m / pu))
+    return mean, float(w @ ((m * m + s * s) / (pu * pu))) - mean * mean
+
+
+def _build_u_schedule(spec: DensitySpec, t: float, q_true: float):
     """Composite Kronrod rule on the truncated u-range, refined until the
-    probe densities stabilize; raises QuadratureError when the refinement
-    budget runs out."""
+    densities at probes around ``q_true`` (spaced by the sd of the 16-panel
+    rule's moments) stabilize; QuadratureError when the budget runs out."""
     sd_u = (1.0 + spec.xi) / math.sqrt(spec.n)
-    lo = spec.xi - spec.quad.u_halfwidth_sds * sd_u
-    hi = spec.xi + spec.quad.u_halfwidth_sds * sd_u
+    lo = spec.xi - _U_HALFWIDTH_SDS * sd_u
+    hi = spec.xi + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
     n_panels = 16
-    prev = None
+    probes = prev = None
     for _ in range(spec.quad.max_refinements + 1):
         nodes, weights = fixed_panel_rule(lo, hi, n_panels)
+        if probes is None:
+            _mean, var = _moments(spec, t, nodes, weights)
+            probes = np.unique(q_true + math.sqrt(max(var, 1e-300)) * _PROBE_SDS)
         m = _integrand_matrix(spec, t, nodes, probes)
         vals = weights @ m
         # embedded Gauss-vs-Kronrod error, worst case over the probes
-        fv = m.reshape(n_panels, 15, probes.size)
-        half = (hi - lo) / (2.0 * n_panels)
-        k = np.einsum("pnk,n->pk", fv, KRONROD_WEIGHTS) * half
-        g = np.einsum("pnk,n->pk", fv, GAUSS_WEIGHTS) * half
+        _k, err = _panel_sums(m.reshape(n_panels, 15, probes.size),
+                              np.full(n_panels, (hi - lo) / (2.0 * n_panels)))
         scale = np.maximum(np.abs(vals), 1e-300)
-        embedded = float((np.abs(k - g).sum(axis=0) / scale).max())
+        embedded = float((err.sum(axis=0) / scale).max())
         if prev is not None:
             drift = float((np.abs(vals - prev) / scale).max())
             if embedded <= spec.quad.rel_tol and drift <= spec.quad.rel_tol:
@@ -299,63 +299,53 @@ def _density_from_plan(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndar
 def _cdf_from_plan(spec: DensitySpec, plan: _Plan, q: np.ndarray) -> np.ndarray:
     """``E_u Phi((q psi(u) - m(u))/s)`` on the plan's u-rule, with
     ``Phi(x) = erfc(-x/sqrt(2))/2``."""
-    xi, sigma = spec.xi, spec.sigma
-    du = plan.u_nodes - xi
-    sd_u = (1.0 + xi) / math.sqrt(spec.n)
-    scale = sigma * math.sqrt(2.0 * (1.0 + 2.0 * xi) / spec.n)   # sqrt(2) s
-    w = 0.5 * plan.u_weights * np.exp(-0.5 * (du / sd_u) ** 2) \
-        / (sd_u * math.sqrt(2.0 * math.pi))
-    a = (_psi_of(plan.t, plan.u_nodes) / scale)[:, None]
-    b = ((sigma - sigma * du / (1.0 + xi)) / scale)[:, None]
-    return _u_sum(w, q, lambda qq: _erfc(b - a * qq[None, :]))
+    w, pu, m, s = _conditional_law(spec, plan.t, plan.u_nodes, plan.u_weights)
+    a, b = (pu / (math.sqrt(2.0) * s))[:, None], (m / (math.sqrt(2.0) * s))[:, None]
+    return _u_sum(0.5 * w, q, lambda qq: _erfc(b - a * qq[None, :]))
+
+
+def _moment_parts(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
+    """The moment integrands (f, z f, z^2 f), one row per point of ``z``."""
+    fz = _density_from_plan(spec, plan, z)
+    return np.stack([fz, z * fz, z * z * fz], axis=-1)
 
 
 @lru_cache(maxsize=256)
 def _plan(spec: DensitySpec) -> _Plan:
     t = -math.log1p(-spec.alpha.alpha)
     q = quantile(GpdParams(spec.sigma, spec.xi), spec.alpha)
-    gh_mean, gh_var = _gh_moments(spec)
-    s = math.sqrt(max(gh_var, 1e-300))
-    probes = np.unique(q + s * np.array(
-        [-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0]))
-    u_nodes, u_weights = _build_u_schedule(spec, t, probes)
-    return _Plan(t, q, gh_mean, gh_var, u_nodes, u_weights)
+    u_nodes, u_weights = _build_u_schedule(spec, t, q)
+    mean, var = _moments(spec, t, u_nodes, u_weights)
+    return _Plan(t, q, mean, var, u_nodes, u_weights)
 
 
 @lru_cache(maxsize=256)
 def _window(spec: DensitySpec, moments: bool = True) -> tuple[float, float]:
     """Adaptive z-window: start at q +- 8 sd, widen each edge until it is idle.
 
-    With ``moments=True`` the edge criterion covers all three moment
-    integrands (f, |z| f, z^2 f) so the second moment is not silently
-    truncated; with ``moments=False`` only the density's own mass counts
-    (enough for plotting and the CDF).  The two edges expand independently.
+    An edge is idle when each moment integrand there (f, |z| f, z^2 f), times
+    the window's width, is below ``rel_tol`` of its total as the u-sums give
+    it, (1, |E z|, E z^2), so the second moment is not silently truncated.
+    With ``moments=False`` only the density's own mass counts (enough for
+    plotting and the CDF).  The two edges expand independently.
     """
     plan = _plan(spec)
-    s = math.sqrt(max(plan.gh_var, 1e-300))
+    s = math.sqrt(max(plan.var, 1e-300))
     lo, hi = plan.q_true - 8.0 * s, plan.q_true + 8.0 * s
-
-    def f_parts(zz):
-        fz = _density_from_plan(spec, plan, zz)
-        if not moments:
-            return fz[:, None]
-        return np.stack([fz, np.abs(zz) * fz, zz * zz * fz], axis=-1)
-
+    totals = [1.0, abs(plan.mean), plan.var + plan.mean ** 2][:3 if moments else 1]
+    budget = spec.quad.rel_tol * np.maximum(totals, 1e-300)
     for _ in range(spec.quad.max_refinements + 1):
-        totals, _err = integrate_adaptive(
-            f_parts, lo, hi, rel_tol=max(spec.quad.rel_tol, 1e-6),
-            max_rounds=spec.quad.max_refinements)
-        contrib = f_parts(np.array([lo, hi])) * (hi - lo)
-        budget = spec.quad.rel_tol * np.maximum(np.abs(totals), 1e-300)
+        parts = np.abs(_moment_parts(spec, plan, np.array([lo, hi])))
+        contrib = parts[:, :len(totals)] * (hi - lo)
         grow_lo = bool(np.any(contrib[0] >= budget))
         grow_hi = bool(np.any(contrib[1] >= budget))
         if not (grow_lo or grow_hi):
             return lo, hi
         c = 0.5 * (lo + hi)
         if grow_lo:
-            lo = c - (c - lo) * spec.quad.z_expansion_factor
+            lo = c - (c - lo) * _Z_EXPANSION
         if grow_hi:
-            hi = c + (hi - c) * spec.quad.z_expansion_factor
+            hi = c + (hi - c) * _Z_EXPANSION
     raise QuadratureError(
         f"z-window did not close at (n={spec.n}, xi={spec.xi}); raise "
         "max_refinements or rel_tol")
@@ -365,6 +355,21 @@ def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
     """The adaptively chosen z-range that carries the density's mass."""
     _warn_if_unvalidated(spec)
     return _window(spec, moments=False)
+
+
+def _estimator_quantiles(spec: DensitySpec, probs) -> np.ndarray:
+    """Quantiles of ``cdf_of_estimator`` at ``probs``: 64 bisections of
+    ``evaluation_window``, which take the bracket below the spacing of doubles."""
+    plan = _plan(spec)
+    lo, hi = _window(spec, moments=False)
+    p = np.asarray(probs, dtype=float)
+    target = p + _cdf_from_plan(spec, plan, np.array([lo]))[0]   # F(q) = G(q) - G(lo)
+    a, b = np.full(p.shape, lo), np.full(p.shape, hi)
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        below = _cdf_from_plan(spec, plan, mid) < target
+        a, b = np.where(below, mid, a), np.where(below, b, mid)
+    return 0.5 * (a + b)
 
 
 def density(spec: DensitySpec, z):
@@ -395,30 +400,23 @@ def cdf_of_estimator(spec: DensitySpec, q):
 def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     """Mean, variance and bias of the estimator density.
 
-    ``method="hermite"`` (default) evaluates the moments as Gauss-Hermite
-    expectations under the limiting normal law; ``method="quadrature"``
-    integrates the density directly.  Both must agree to quadrature accuracy;
-    the normalization defect always comes from the direct route.
+    ``method="hermite"`` (default; the name is historical) takes the moments
+    as sums over the u-rule of the density and the CDF: ``E z = E_u m/psi``,
+    ``E z^2 = E_u (m^2 + s^2)/psi^2``.  ``method="quadrature"`` integrates the
+    density over the moment z-window, the independent cross-check; the two
+    agree to quadrature accuracy.  The normalization defect always comes from
+    the direct route.
     """
     if method not in ("hermite", "quadrature"):
         raise ValidationError(f"unknown stats method {method!r}")
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
     z_lo, z_hi = _window(spec)
-
-    def f(zz):
-        fz = _density_from_plan(spec, plan, zz)
-        return np.stack([fz, zz * fz, zz * zz * fz], axis=-1)
-
     totals, _err = integrate_adaptive(
-        f, z_lo, z_hi, rel_tol=spec.quad.rel_tol,
-        max_rounds=spec.quad.max_refinements)
+        lambda zz: _moment_parts(spec, plan, zz), z_lo, z_hi,
+        rel_tol=spec.quad.rel_tol, max_rounds=spec.quad.max_refinements)
     i0, i1, i2 = (float(v) for v in totals)
-    if method == "hermite":
-        mean, var = plan.gh_mean, plan.gh_var
-    else:
-        mean = i1
-        var = i2 - i1 * i1
+    mean, var = (plan.mean, plan.var) if method == "hermite" else (i1, i2 - i1 * i1)
     return QuantileStats(
         mean=mean,
         variance=var,
@@ -434,9 +432,9 @@ def bias_variance_surface(
 ) -> BiasSurface:
     """Bias and variance over the (n, xi) grid, row-major by n then xi.
 
-    Each cell carries the Gauss-Hermite moments that ``stats`` returns, taken
-    from the cell's plan; building the plan also checks that its u-rule
-    resolves at ``quad``'s accuracy.
+    Each cell carries the u-rule moments that ``stats`` returns, taken from
+    the cell's plan; building the plan also checks that its u-rule resolves
+    at ``quad``'s accuracy.
     """
     rows = []
     for n in n_values:
@@ -449,6 +447,6 @@ def bias_variance_surface(
                 raise QuadratureError(
                     f"surface cell (n={n}, xi={xi}) failed: {exc}") from exc
             rows.append(SurfaceRow(n=int(n), xi=float(xi),
-                                   bias=plan.gh_mean - plan.q_true,
-                                   variance=plan.gh_var))
+                                   bias=plan.mean - plan.q_true,
+                                   variance=plan.var))
     return BiasSurface(alpha=alpha, sigma=sigma, rows=tuple(rows))

@@ -136,6 +136,16 @@ class TestDensityCommand:
         mode = rows[np.argmax(rows[:, 1]), 0]
         assert 15.0 <= mode <= 21.0, f"mode at {mode}"
 
+    def test_heavy_shape_grid_resolves_the_peak(self, tmp_path):
+        # the grid spans the estimator's 1e-4 and 1 - 1e-4 quantiles, not the
+        # 8e4-wide mass window of this spec
+        out = tmp_path / "den4.csv"
+        assert main(["density", "--n", "50", "--xi", "0.5", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        dz = rows[1, 0] - rows[0, 0]
+        assert rows[:, 1].sum() * dz == pytest.approx(1.0, abs=1e-3)
+        assert np.sum(rows[:, 1] >= 0.5 * rows[:, 1].max()) >= 8
+
     def test_out_of_region_refused(self, capsys):
         assert main(["density", "--n", "30", "--xi", "0.25"]) == 2
         assert "validated region" in capsys.readouterr().err

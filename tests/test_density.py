@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy import integrate, special
 
 import tailgauge as tg
-from tailgauge.density import _erfc, evaluation_window
+from tailgauge.density import _erfc, _plan, _psi_of, _window, evaluation_window
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -34,6 +35,22 @@ def _oracle_density(spec, z):
     val, _ = integrate.quad(g, xi - 14 * su, xi + 14 * su, limit=300,
                             epsabs=1e-14, epsrel=1e-11)
     return val
+
+
+def _gauss_hermite_moments(spec):
+    """Independent route: mean and variance of v/psi(u) from a 2-D
+    Gauss-Hermite tensor rule under the limiting normal law of (u, v)."""
+    t = -math.log1p(-spec.alpha.alpha)
+    cov = tg.asymptotic_covariance(tg.GpdParams(spec.sigma, spec.xi),
+                                   spec.n).cov_matrix
+    L = np.linalg.cholesky(cov)
+    x, w = np.polynomial.hermite.hermgauss(96)
+    W = np.outer(w, w) / math.pi
+    u = spec.xi + math.sqrt(2.0) * L[0, 0] * x
+    v = spec.sigma + math.sqrt(2.0) * (L[1, 0] * x[:, None] + L[1, 1] * x[None, :])
+    g = v / _psi_of(t, u)[:, None]
+    mean = float((W * g).sum())
+    return mean, float((W * (g - mean) ** 2).sum())
 
 
 class TestSpecValidation:
@@ -221,6 +238,29 @@ class TestStats:
             assert abs(fast.mean - slow.mean) <= tol * max(1.0, abs(slow.mean))
             assert abs(fast.variance - slow.variance) <= tol * max(1.0, slow.variance)
 
+    def test_moments_match_gauss_hermite_oracle(self):
+        rng = np.random.default_rng(23)
+        specs = [_spec(n, xi) for n, xi in ((50, 0.0), (50, 0.5), (1000, 0.5), (100, 0.25))]
+        specs += [_spec(int(rng.integers(50, 2000)),
+                        float(np.round(rng.uniform(0.0, 0.5), 3)),
+                        alpha=float(rng.choice([0.99, 0.999, 0.9995])),
+                        sigma=float(rng.uniform(0.5, 2.0))) for _ in range(12)]
+        for spec in specs:
+            st = tg.stats(spec)
+            mean, var = _gauss_hermite_moments(spec)
+            assert st.mean == pytest.approx(mean, rel=1e-9)
+            assert st.variance == pytest.approx(var, rel=1e-9)
+
+    @pytest.mark.parametrize("n, xi", [(10, 1.0), (5, 0.25), (10, 0.25), (20, 0.5)])
+    def test_small_n_moments_cover_the_second_moment(self, n, xi):
+        # psi^-2 ~ exp(2 t u) pulls the second-moment integrand far above xi;
+        # no z-window closes here, so the plan's moments are read directly
+        spec = _spec(n, xi, allow_unvalidated=True)
+        plan = _plan(spec)
+        mean, var = _gauss_hermite_moments(spec)
+        assert plan.mean == pytest.approx(mean, rel=1e-8)
+        assert plan.var == pytest.approx(var, rel=1e-8)
+
     def test_bias_below_three_percent_at_n_1e4(self):
         st = tg.stats(_spec(10_000, 0.25))
         assert st.bias < 0.03
@@ -299,6 +339,26 @@ def test_moments_against_scipy_z_integration(fig1_spec):
                           limit=400)
     st = tg.stats(fig1_spec)
     assert st.mean == pytest.approx(m, rel=1e-6)
+
+
+@pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
+def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
+    # only stats() integrates over z; the windows come from the u-sums
+    module = importlib.import_module("tailgauge.density")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("z-quadrature called")
+
+    monkeypatch.setattr(module, "integrate_adaptive", refuse)
+    _plan.cache_clear()
+    _window.cache_clear()
+    spec = _spec(n, xi)
+    lo, hi = evaluation_window(spec)
+    assert lo < _plan(spec).q_true < hi
+    assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
+    assert _window(spec, moments=True)[1] >= hi
+    with pytest.raises(AssertionError, match="z-quadrature"):
+        tg.stats(spec)
 
 
 def test_window_covers_mass(fig1_spec, fig1_stats):
