@@ -123,13 +123,16 @@ def read_series(path: str) -> np.ndarray:
     return arr
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload: dict, out_path: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _emit_csv(header: list[str], rows, out_path: str | None) -> None:
@@ -137,12 +140,7 @@ def _emit_csv(header: list[str], rows, out_path: str | None) -> None:
     for row in rows:
         lines.append(",".join(
             f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", out_path)
 
 
 def _check_tail_fraction(fraction: float) -> float:
@@ -235,17 +233,22 @@ def cmd_density(args: argparse.Namespace) -> None:
     _emit_csv(["z", "f_q"], zip(z.tolist(), f.tolist()), args.out)
 
 
-def cmd_bias_table(args: argparse.Namespace) -> None:
+def _surface_from_args(args: argparse.Namespace):
+    """The bias/variance surface over the --grid-n/--grid-xi grid."""
     alpha = ConfidenceLevel(_layered(args, "alpha", float))
     sigma = _layered(args, "sigma", float)
     n_grid = (_parse_grid(args.grid_n, True, lambda v: int(round(v)))
               if args.grid_n else list(DEFAULT_N_GRID))
     xi_grid = (_parse_grid(args.grid_xi, False, float)
                if args.grid_xi else list(DEFAULT_XI_GRID))
-    surface = bias_variance_surface(n_grid, xi_grid, alpha, sigma)
+    return bias_variance_surface(n_grid, xi_grid, alpha, sigma)
+
+
+def cmd_bias_table(args: argparse.Namespace) -> None:
+    surface = _surface_from_args(args)
     _emit_csv(
         ["n", "xi", "alpha", "sigma", "bias", "variance"],
-        ((r.n, r.xi, alpha.alpha, sigma, r.bias, r.variance)
+        ((r.n, r.xi, surface.alpha.alpha, surface.sigma, r.bias, r.variance)
          for r in surface.rows),
         args.out)
 
@@ -301,14 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def cmd_regress(args: argparse.Namespace) -> None:
-    alpha = ConfidenceLevel(_layered(args, "alpha", float))
-    sigma = _layered(args, "sigma", float)
-    n_grid = (_parse_grid(args.grid_n, True, lambda v: int(round(v)))
-              if args.grid_n else list(DEFAULT_N_GRID))
-    xi_grid = (_parse_grid(args.grid_xi, False, float)
-               if args.grid_xi else list(DEFAULT_XI_GRID))
-    surface = bias_variance_surface(n_grid, xi_grid, alpha, sigma)
-    law = fit_bias_law(surface)
+    law = fit_bias_law(_surface_from_args(args))
     _emit_json({"a1": law.a1, "a2": law.a2, "a3": law.a3}, args.out)
 
 

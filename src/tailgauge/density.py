@@ -2,22 +2,23 @@
 
 The sampling law of the plug-in tail quantile at sample size ``n`` is
 approximated by pushing the limiting bivariate normal of the parameter
-estimators through the quantile map.  The density is
+estimators ``(u, v) = (xi_hat, sigma_hat)`` through the quantile map
+``z = v / psi(u)``, with ``psi(u) = u / ((1-alpha)**(-u) - 1) > 0``.  Here
+``u`` is normal with mean ``xi`` and sd ``(1+xi)/sqrt(n)``; given ``u``, ``v``
+is normal with mean ``m(u) = sigma - sigma (u-xi)/(1+xi)`` and sd
+``s = sigma sqrt((1+2 xi)/n)``.  Every output is an expectation over ``u`` of
+that conditional normal:
 
-    f_q(z) = (1/2pi) (n/sigma) (1 + 4 xi + 5 xi^2 + 2 xi^3)^(-1/2)
-             * Integral du psi(u) exp{ -(n/(1+2 xi)) [ (u-xi)^2/(1+xi)
-               + (u-xi)(z psi(u) - sigma)/((1+xi) sigma)
-               + (z psi(u) - sigma)^2 / (2 sigma^2) ] }
+    density    f(z) = E_u psi(u) phi((z psi(u) - m(u))/s) / s
+    CDF        F(z) = E_u Phi((z psi(u) - m(u))/s)
+    moments    E z = E_u m/psi,  E z^2 = E_u (m^2 + s^2)/psi^2
 
-with ``psi(u) = u / ((1-alpha)**(-u) - 1)``.  Given ``u = xi_hat``, the scale
-estimator is normal with mean ``m(u) = sigma - sigma (u-xi)/(1+xi)`` and
-variance ``s^2 = sigma^2 (1+2 xi)/n``; since ``psi > 0`` the CDF is the
-conditional-normal u-integral ``F(z) = E_u Phi((z psi(u) - m(u))/s)``, and
-the moments are ``E z = E_u m/psi`` and ``E z^2 = E_u (m^2 + s^2)/psi^2``.
-The density, the CDF and the moments (and so the bias/variance surface) are
-weighted sums over one adaptive u-rule.  Direct quadrature of the density
-over an adaptively chosen z-window is kept only as the independent
-cross-check: ``stats(method="quadrature")`` and the normalization defect.
+(the density is the paper's formula with its exponent split into the normal
+densities of ``u`` and of ``v`` given ``u``).  All of them are weighted sums
+over one adaptive u-rule, and so is the bias/variance surface.  Quadrature of
+the density over z is kept only as a check: ``stats`` takes the
+normalization defect from the density's mass window, and
+``stats(method="quadrature")`` recomputes the moments over the moment window.
 The approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5];
 anything else must be requested explicitly and is flagged by a warning.
 """
@@ -38,7 +39,6 @@ from .gpd import ConfidenceLevel, GpdParams, quantile
 from .quadrature import _panel_sums, fixed_panel_rule, integrate_adaptive
 
 _U_ZERO_TOL = 1e-8
-_U_SERIES_BAND = 1e-4
 # elements of the (u, z) workspace of one chunk of the u-sums
 _WORKSPACE = 4_000_000
 # the u-rule spans xi - 10 sd_u to 10 sd_u above the peak of the second-moment
@@ -143,15 +143,9 @@ def psi(u, level: ConfidenceLevel):
 
 
 def _psi_of(t: float, u: np.ndarray):
-    y = t * u
-    out = np.empty_like(u)
-    tiny = np.abs(u) < _U_ZERO_TOL
-    band = (np.abs(u) < _U_SERIES_BAND) & ~tiny
-    rest = ~(tiny | band)
-    out[tiny] = 1.0 / t
-    yb = y[band]
-    out[band] = (1.0 - 0.5 * yb + yb * yb / 12.0) / t
-    out[rest] = u[rest] / np.expm1(y[rest])
+    out = np.full_like(u, 1.0 / t)
+    rest = ~(np.abs(u) < _U_ZERO_TOL)   # NaN stays NaN
+    out[rest] = u[rest] / np.expm1(t * u[rest])
     if out.ndim == 0:
         return float(out)
     return out
@@ -212,39 +206,31 @@ def _warn_if_unvalidated(spec: DensitySpec) -> None:
             OutsideValidatedRegionWarning, stacklevel=3)
 
 
-def _integrand_matrix(spec: DensitySpec, t: float, u: np.ndarray, z: np.ndarray):
-    """psi(u) * exp(-bracket) on the (u, z) grid, without the prefactor."""
-    xi, sigma, n = spec.xi, spec.sigma, spec.n
-    pu = _psi_of(t, u)
-    du = u - xi
-    r = pu[:, None] * z[None, :] - sigma
-    br = (du * du / (1.0 + xi))[:, None] \
-        + (du / ((1.0 + xi) * sigma))[:, None] * r \
-        + r * r / (2.0 * sigma * sigma)
-    return pu[:, None] * np.exp(-(n / (1.0 + 2.0 * xi)) * br)
-
-
-def _prefactor(spec: DensitySpec) -> float:
-    poly = 1.0 + 4.0 * spec.xi + 5.0 * spec.xi**2 + 2.0 * spec.xi**3
-    return spec.n / (2.0 * math.pi * spec.sigma * math.sqrt(poly))
-
-
-def _conditional_law(spec: DensitySpec, t: float, u: np.ndarray, weights: np.ndarray):
-    """The law of (u, v) on a u-rule: the rule weights times the normal
-    density of u, psi(u), and the mean m(u) and sd s of v given u."""
+def _conditional_law(spec: DensitySpec, t: float, u: np.ndarray):
+    """The law of (u, v) at the nodes ``u``: the normal density g of u,
+    psi(u), and the mean m(u) and sd s of v given u."""
     xi, sigma = spec.xi, spec.sigma
     du = u - xi
     sd_u = (1.0 + xi) / math.sqrt(spec.n)
-    w = weights * np.exp(-0.5 * (du / sd_u) ** 2) / (sd_u * math.sqrt(2.0 * math.pi))
+    g = np.exp(-0.5 * (du / sd_u) ** 2) / (sd_u * math.sqrt(2.0 * math.pi))
     m = sigma - sigma * du / (1.0 + xi)
     s = sigma * math.sqrt((1.0 + 2.0 * xi) / spec.n)
-    return w, _psi_of(t, u), m, s
+    return g, _psi_of(t, u), m, s
 
 
-def _moments(spec: DensitySpec, t: float, u: np.ndarray, weights: np.ndarray):
+def _integrand_matrix(law, z: np.ndarray):
+    """``g psi phi((z psi - m)/s)/s`` on the (u, z) grid: the density's
+    integrand, whose weighted u-sum is f(z)."""
+    g, pu, m, s = law
+    x = (pu / s)[:, None] * z[None, :] - (m / s)[:, None]
+    return (g * pu / (s * math.sqrt(2.0 * math.pi)))[:, None] * np.exp(-0.5 * x * x)
+
+
+def _moments(weights: np.ndarray, law):
     """Mean and variance of z = v/psi(u): ``E_u m/psi`` and
     ``E_u (m^2 + s^2)/psi^2`` less the squared mean."""
-    w, pu, m, s = _conditional_law(spec, t, u, weights)
+    g, pu, m, s = law
+    w = weights * g
     mean = float(w @ (m / pu))
     return mean, float(w @ ((m * m + s * s) / (pu * pu))) - mean * mean
 
@@ -260,10 +246,11 @@ def _build_u_schedule(spec: DensitySpec, t: float, q_true: float):
     probes = prev = None
     for _ in range(spec.quad.max_refinements + 1):
         nodes, weights = fixed_panel_rule(lo, hi, n_panels)
+        law = _conditional_law(spec, t, nodes)
         if probes is None:
-            _mean, var = _moments(spec, t, nodes, weights)
+            _mean, var = _moments(weights, law)
             probes = np.unique(q_true + math.sqrt(max(var, 1e-300)) * _PROBE_SDS)
-        m = _integrand_matrix(spec, t, nodes, probes)
+        m = _integrand_matrix(law, probes)
         vals = weights @ m
         # embedded Gauss-vs-Kronrod error, worst case over the probes
         _k, err = _panel_sums(m.reshape(n_panels, 15, probes.size),
@@ -292,16 +279,16 @@ def _u_sum(weights: np.ndarray, z: np.ndarray, matrix) -> np.ndarray:
 
 
 def _density_from_plan(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
-    return _prefactor(spec) * _u_sum(
-        plan.u_weights, z, lambda zz: _integrand_matrix(spec, plan.t, plan.u_nodes, zz))
+    law = _conditional_law(spec, plan.t, plan.u_nodes)
+    return _u_sum(plan.u_weights, z, lambda zz: _integrand_matrix(law, zz))
 
 
 def _cdf_from_plan(spec: DensitySpec, plan: _Plan, q: np.ndarray) -> np.ndarray:
     """``E_u Phi((q psi(u) - m(u))/s)`` on the plan's u-rule, with
     ``Phi(x) = erfc(-x/sqrt(2))/2``."""
-    w, pu, m, s = _conditional_law(spec, plan.t, plan.u_nodes, plan.u_weights)
+    g, pu, m, s = _conditional_law(spec, plan.t, plan.u_nodes)
     a, b = (pu / (math.sqrt(2.0) * s))[:, None], (m / (math.sqrt(2.0) * s))[:, None]
-    return _u_sum(0.5 * w, q, lambda qq: _erfc(b - a * qq[None, :]))
+    return _u_sum(0.5 * plan.u_weights * g, q, lambda qq: _erfc(b - a * qq[None, :]))
 
 
 def _moment_parts(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
@@ -315,7 +302,7 @@ def _plan(spec: DensitySpec) -> _Plan:
     t = -math.log1p(-spec.alpha.alpha)
     q = quantile(GpdParams(spec.sigma, spec.xi), spec.alpha)
     u_nodes, u_weights = _build_u_schedule(spec, t, q)
-    mean, var = _moments(spec, t, u_nodes, u_weights)
+    mean, var = _moments(u_weights, _conditional_law(spec, t, u_nodes))
     return _Plan(t, q, mean, var, u_nodes, u_weights)
 
 
@@ -327,7 +314,8 @@ def _window(spec: DensitySpec, moments: bool = True) -> tuple[float, float]:
     the window's width, is below ``rel_tol`` of its total as the u-sums give
     it, (1, |E z|, E z^2), so the second moment is not silently truncated.
     With ``moments=False`` only the density's own mass counts (enough for
-    plotting and the CDF).  The two edges expand independently.
+    plotting, the CDF and the normalization defect).  The two edges expand
+    independently.
     """
     plan = _plan(spec)
     s = math.sqrt(max(plan.var, 1e-300))
@@ -402,27 +390,33 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
 
     ``method="hermite"`` (default; the name is historical) takes the moments
     as sums over the u-rule of the density and the CDF: ``E z = E_u m/psi``,
-    ``E z^2 = E_u (m^2 + s^2)/psi^2``.  ``method="quadrature"`` integrates the
-    density over the moment z-window, the independent cross-check; the two
-    agree to quadrature accuracy.  The normalization defect always comes from
-    the direct route.
+    ``E z^2 = E_u (m^2 + s^2)/psi^2``, and the normalization defect from a
+    quadrature of the density over ``evaluation_window``.
+    ``method="quadrature"`` integrates (f, z f, z^2 f) over the wider moment
+    z-window, the independent cross-check; the two agree to quadrature
+    accuracy.
     """
     if method not in ("hermite", "quadrature"):
         raise ValidationError(f"unknown stats method {method!r}")
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
-    z_lo, z_hi = _window(spec)
-    totals, _err = integrate_adaptive(
-        lambda zz: _moment_parts(spec, plan, zz), z_lo, z_hi,
-        rel_tol=spec.quad.rel_tol, max_rounds=spec.quad.max_refinements)
-    i0, i1, i2 = (float(v) for v in totals)
-    mean, var = (plan.mean, plan.var) if method == "hermite" else (i1, i2 - i1 * i1)
+    quad = dict(rel_tol=spec.quad.rel_tol, max_rounds=spec.quad.max_refinements)
+    if method == "hermite":
+        mass, _err = integrate_adaptive(
+            lambda zz: _density_from_plan(spec, plan, zz),
+            *_window(spec, moments=False), **quad)
+        mean, var = plan.mean, plan.var
+    else:
+        totals, _err = integrate_adaptive(
+            lambda zz: _moment_parts(spec, plan, zz), *_window(spec), **quad)
+        mass, i1, i2 = (float(v) for v in totals)
+        mean, var = i1, i2 - i1 * i1
     return QuantileStats(
         mean=mean,
         variance=var,
         bias=mean - plan.q_true,
         true_quantile=plan.q_true,
-        normalization_defect=abs(i0 - 1.0),
+        normalization_defect=abs(float(mass) - 1.0),
     )
 
 

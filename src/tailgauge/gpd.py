@@ -4,8 +4,8 @@ The two-parameter GPD with scale ``sigma`` and shape ``xi`` has distribution
 function ``F(x) = 1 - (1 + xi*x/sigma)**(-1/xi)`` on ``[0, inf)`` for
 ``xi >= 0`` and on ``[0, -sigma/xi]`` for ``xi < 0``.  At ``xi = 0`` it
 degenerates to the exponential distribution and all formulas below switch to
-their exponential limits; a second-order series bridges the band of tiny
-``|xi|`` where the direct expressions lose precision.
+their exponential limits for ``|xi| < XI_ZERO_TOL``; above it the
+``expm1``/``log1p`` forms keep full precision.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .errors import ValidationError
 
 # |xi| below this is treated as exactly zero (exponential limit)
 XI_ZERO_TOL = 1e-8
-# second-order series in xi is used for XI_ZERO_TOL <= |xi| < XI_SERIES_BAND
-XI_SERIES_BAND = 1e-4
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,6 @@ def _scaled_expm1(xi: float, t) -> np.ndarray | float:
     """(exp(xi*t) - 1)/xi with the xi -> 0 limit t; t may be an array."""
     if abs(xi) < XI_ZERO_TOL:
         return t
-    if abs(xi) < XI_SERIES_BAND:
-        return t * (1.0 + 0.5 * xi * t + (xi * t) ** 2 / 6.0)
     return np.expm1(xi * np.asarray(t, dtype=float)) / xi
 
 
@@ -68,8 +64,6 @@ def _log1p_over_xi(xi: float, s) -> np.ndarray | float:
     """log(1 + xi*s)/xi with the xi -> 0 limit s; s may be an array."""
     if abs(xi) < XI_ZERO_TOL:
         return s
-    if abs(xi) < XI_SERIES_BAND:
-        return s * (1.0 - 0.5 * xi * s + (xi * s) ** 2 / 3.0)
     return np.log1p(xi * np.asarray(s, dtype=float)) / xi
 
 

@@ -64,18 +64,23 @@ def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
 
     ``f(x)`` takes a flat node array; returns per-node values, or (nodes, K)
     for K simultaneous components.  Returns (integral, error_estimate) with
-    matching shape.  Raises QuadratureError when the budget is exhausted.
+    matching shape.  Raises QuadratureError when ``max_rounds + 1``
+    refinement rounds or MAX_PANELS panels do not reach the tolerance.
     """
     edges_lo = np.linspace(lo, hi, init_panels + 1)[:-1]
     edges_hi = np.linspace(lo, hi, init_panels + 1)[1:]
     vals, errs = _eval_panels(f, edges_lo, edges_hi)
 
-    for _ in range(max_rounds + 1):
+    for rounds in range(max_rounds + 2):
         total = vals.sum(axis=0)
         err = errs.sum(axis=0)
         scale = np.maximum(np.abs(total), 1e-300)
         if np.all(err <= rel_tol * scale):
             return total, err
+        if rounds > max_rounds:
+            raise QuadratureError(
+                f"no convergence after {rounds} refinement rounds "
+                f"(err={float(np.max(err / scale)):.2e} > rel_tol={rel_tol})")
         # bisect every panel holding more than its per-panel share of budget
         norm = (errs / scale).max(axis=-1) if errs.ndim == 2 else errs / scale
         bad = norm > rel_tol / len(edges_lo)
@@ -93,13 +98,6 @@ def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
         vals = np.concatenate([keep_v, add_v])
         errs = np.concatenate([keep_e, add_e])
         edges_lo, edges_hi = new_lo, new_hi
-
-    total = vals.sum(axis=0)
-    err = errs.sum(axis=0)
-    scale = np.maximum(np.abs(total), 1e-300)
-    raise QuadratureError(
-        f"no convergence after {max_rounds} refinement rounds "
-        f"(err={float(np.max(err / scale)):.2e} > rel_tol={rel_tol})")
 
 
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):

@@ -90,8 +90,7 @@ def run(config: SimConfig) -> SimReport:
     ])
     spec = DensitySpec(
         n=config.n, alpha=config.alpha, sigma=config.params.sigma,
-        xi=config.params.xi,
-        allow_unvalidated=not (config.n >= 50 and 0.0 <= config.params.xi <= 0.5))
+        xi=config.params.xi, allow_unvalidated=True)
     d_stat, p_val = ks_test(q_hats, lambda v: cdf_of_estimator(spec, v))
     q_true = quantile(config.params, config.alpha)
     emp_mean = float(q_hats.mean())

@@ -1,12 +1,14 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 import tailgauge as tg
-from tailgauge.density import _erfc, _plan, _psi_of, _window, evaluation_window
+from tailgauge.density import (_erfc, _estimator_quantiles, _plan, _psi_of,
+                               _window, evaluation_window)
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -51,6 +53,24 @@ def _gauss_hermite_moments(spec):
     g = v / _psi_of(t, u)[:, None]
     mean = float((W * g).sum())
     return mean, float((W * (g - mean) ** 2).sum())
+
+
+def _bracket_density(spec, z):
+    """The paper's bracket form of the density on the plan's u-rule:
+    n/(2 pi sigma sqrt(1 + 4 xi + 5 xi^2 + 2 xi^3)) times the u-sum of
+    psi exp(-(n/(1+2 xi)) [bracket])."""
+    plan = _plan(spec)
+    xi, sigma, n = spec.xi, spec.sigma, spec.n
+    u = plan.u_nodes
+    pu = _psi_of(plan.t, u)
+    du = u - xi
+    r = pu[:, None] * z[None, :] - sigma
+    br = (du * du / (1.0 + xi))[:, None] \
+        + (du / ((1.0 + xi) * sigma))[:, None] * r \
+        + r * r / (2.0 * sigma * sigma)
+    poly = 1.0 + 4.0 * xi + 5.0 * xi**2 + 2.0 * xi**3
+    pre = n / (2.0 * math.pi * sigma * math.sqrt(poly))
+    return pre * (plan.u_weights @ (pu[:, None] * np.exp(-(n / (1.0 + 2.0 * xi)) * br)))
 
 
 class TestSpecValidation:
@@ -364,3 +384,45 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
 def test_window_covers_mass(fig1_spec, fig1_stats):
     lo, hi = evaluation_window(fig1_spec)
     assert lo < fig1_stats.true_quantile < fig1_stats.mean < hi
+
+
+@pytest.mark.parametrize("n, xi, alpha, sigma", [
+    (50, 0.0, 0.999, 1.0), (50, 0.5, 0.999, 1.0), (1000, 0.5, 0.999, 1.0),
+    (100, 0.25, 0.999, 1.0), (200, 0.4, 0.99, 2.0), (10, 1.0, 0.999, 1.0),
+])
+def test_conditional_normal_density_matches_bracket_form(n, xi, alpha, sigma):
+    spec = _spec(n, xi, alpha=alpha, sigma=sigma, allow_unvalidated=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tg.OutsideValidatedRegionWarning)
+        lo, hi = evaluation_window(spec)
+        core = _estimator_quantiles(spec, (1e-4, 1 - 1e-4))
+        z = np.concatenate([np.linspace(lo, hi, 2001), np.linspace(*core, 2001)])
+        mine = tg.density(spec, z)
+    ref = _bracket_density(spec, z)
+    assert np.abs(mine - ref).max() <= 1e-13 * ref.max()
+
+
+@pytest.mark.parametrize("n, xi", [(20, 0.5), (30, 0.25), (10, 0.25)])
+def test_stats_returns_plan_moments_where_no_moment_window_closes(n, xi):
+    spec = _spec(n, xi, allow_unvalidated=True)
+    with pytest.warns(tg.OutsideValidatedRegionWarning):
+        st = tg.stats(spec)
+    plan = _plan(spec)
+    assert (st.mean, st.variance) == (plan.mean, plan.var)
+    assert st.normalization_defect <= 1e-6
+
+
+@pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
+def test_default_stats_integrates_only_the_density_over_the_mass_window(
+        monkeypatch, n, xi):
+    module = importlib.import_module("tailgauge.density")
+    real, calls = module.integrate_adaptive, []
+
+    def recording(f, lo, hi, **kwargs):
+        calls.append((f(np.linspace(lo, hi, 7)).shape, lo, hi))
+        return real(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(module, "integrate_adaptive", recording)
+    spec = _spec(n, xi)
+    tg.stats(spec)
+    assert calls == [((7,), *evaluation_window(spec))]

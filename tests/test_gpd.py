@@ -160,3 +160,18 @@ def test_monotonicity():
     assert np.all(np.diff(qs) > 0)
     x = np.linspace(-1.0, 40.0, 200)
     assert np.all(np.diff(tg.cdf(p, x)) >= 0)
+
+
+@pytest.mark.parametrize("xi", [1e-8, 3e-7, 2e-5, 9e-5, 1e-4,
+                                -1e-8, -3e-7, -2e-5, -9e-5, -1e-4])
+def test_small_shape_against_scipy(xi):
+    # the expm1/log1p forms hold full precision down to XI_ZERO_TOL
+    from scipy import stats as sps
+    p = tg.GpdParams(1.5, xi)
+    ref = sps.genpareto(c=xi, scale=p.sigma)
+    x = np.append(np.geomspace(1e-3, 200.0, 80), 0.0)
+    np.testing.assert_allclose(tg.pdf(p, x), ref.pdf(x), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(tg.cdf(p, x), ref.cdf(x), rtol=1e-12, atol=0.0)
+    for a in (0.5, 0.99, 0.999, 0.99999):
+        assert tg.quantile(p, tg.ConfidenceLevel(a)) == pytest.approx(
+            ref.ppf(a), rel=1e-12)
