@@ -35,10 +35,9 @@ import numpy as np
 
 from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
-from .gpd import ConfidenceLevel, GpdParams, quantile
+from .gpd import _TINY, ConfidenceLevel, GpdParams, quantile
 from .quadrature import _panel_sums, fixed_panel_rule, integrate_adaptive
 
-_U_ZERO_TOL = 1e-8
 # elements of the (u, z) workspace of one chunk of the u-sums
 _WORKSPACE = 4_000_000
 # the u-rule spans xi - 10 sd_u to 10 sd_u above the peak of the second-moment
@@ -144,8 +143,10 @@ def psi(u, level: ConfidenceLevel):
 
 def _psi_of(t: float, u: np.ndarray):
     out = np.full_like(u, 1.0 / t)
-    rest = ~(np.abs(u) < _U_ZERO_TOL)   # NaN stays NaN
-    out[rest] = u[rest] / np.expm1(t * u[rest])
+    tu = t * u
+    # the u -> 0 limit 1/t only where t*u is zero or subnormal; NaN stays NaN
+    rest = ~(np.abs(tu) < _TINY)
+    out[rest] = u[rest] / np.expm1(tu[rest])
     if out.ndim == 0:
         return float(out)
     return out

@@ -3,9 +3,10 @@
 The two-parameter GPD with scale ``sigma`` and shape ``xi`` has distribution
 function ``F(x) = 1 - (1 + xi*x/sigma)**(-1/xi)`` on ``[0, inf)`` for
 ``xi >= 0`` and on ``[0, -sigma/xi]`` for ``xi < 0``.  At ``xi = 0`` it
-degenerates to the exponential distribution and all formulas below switch to
-their exponential limits for ``|xi| < XI_ZERO_TOL``; above it the
-``expm1``/``log1p`` forms keep full precision.
+degenerates to the exponential distribution.  The ``expm1``/``log1p`` forms
+below keep full precision for any ``xi`` as long as their argument ``xi*t``
+is a normal float, so the formulas switch to their exponential limits only
+where ``xi*t`` is zero or subnormal.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import numpy as np
 
 from .errors import ValidationError
 
-# |xi| below this is treated as exactly zero (exponential limit)
-XI_ZERO_TOL = 1e-8
+# smallest normal float: a smaller xi*t has lost precision, and the limit
+# form is exact to rounding there
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -53,18 +55,23 @@ class ConfidenceLevel:
             raise ValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-def _scaled_expm1(xi: float, t) -> np.ndarray | float:
-    """(exp(xi*t) - 1)/xi with the xi -> 0 limit t; t may be an array."""
-    if abs(xi) < XI_ZERO_TOL:
-        return t
-    return np.expm1(xi * np.asarray(t, dtype=float)) / xi
+def _scaled_expm1(xi, t) -> np.ndarray:
+    """(exp(xi*t) - 1)/xi elementwise, with the xi -> 0 limit t.
+
+    ``xi`` and ``t`` broadcast against each other.
+    """
+    xi, t = np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
+    z = xi * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(z) >= _TINY, np.expm1(z) / xi, t)
 
 
-def _log1p_over_xi(xi: float, s) -> np.ndarray | float:
-    """log(1 + xi*s)/xi with the xi -> 0 limit s; s may be an array."""
-    if abs(xi) < XI_ZERO_TOL:
-        return s
-    return np.log1p(xi * np.asarray(s, dtype=float)) / xi
+def _log1p_over_xi(xi: float, s) -> np.ndarray:
+    """log(1 + xi*s)/xi elementwise, with the xi -> 0 limit s."""
+    s = np.asarray(s, dtype=float)
+    z = xi * s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.abs(z) >= _TINY, np.log1p(z) / xi, s)
 
 
 def cdf(p: GpdParams, x):

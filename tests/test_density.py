@@ -118,10 +118,14 @@ class TestPsi:
         assert np.all(tg.psi(u, A999) > 0)
 
     def test_series_band_continuity(self):
-        # the zero branch carries an O(t*u/2) relative error at its edge
-        for u, tol in ((9e-9, 5e-8), (1.1e-8, 1e-9), (9e-5, 1e-9), (1.1e-4, 1e-9)):
-            direct = u / math.expm1(math.log(1000) * u)
-            assert tg.psi(u, A999) == pytest.approx(direct, rel=tol)
+        # near u = 0 psi is (1/t)(1 - t u/2 + (t u)^2/12) to O((t u)^4)
+        t = math.log(1000)
+        for u in (9e-9, -9e-9, 1.1e-8, 1e-12, -1e-12, 1e-200, -1e-200):
+            series = (1.0 - t * u / 2.0 + (t * u) ** 2 / 12.0) / t
+            assert tg.psi(u, A999) == pytest.approx(series, rel=1e-15)
+        for u in (9e-5, 1.1e-4):
+            direct = u / math.expm1(t * u)
+            assert tg.psi(u, A999) == pytest.approx(direct, rel=1e-9)
 
 
 class TestDensity:

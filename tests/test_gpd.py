@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tailgauge as tg
+from tailgauge.gpd import _scaled_expm1
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -162,16 +163,33 @@ def test_monotonicity():
     assert np.all(np.diff(tg.cdf(p, x)) >= 0)
 
 
-@pytest.mark.parametrize("xi", [1e-8, 3e-7, 2e-5, 9e-5, 1e-4,
-                                -1e-8, -3e-7, -2e-5, -9e-5, -1e-4])
+@pytest.mark.parametrize("xi", [0.0, 1e-200, 1e-12, 9e-9, 1e-8, 3e-7, 2e-5, 9e-5, 1e-4,
+                                -1e-200, -1e-12, -9e-9, -1e-8, -3e-7, -2e-5,
+                                -9e-5, -1e-4])
 def test_small_shape_against_scipy(xi):
-    # the expm1/log1p forms hold full precision down to XI_ZERO_TOL
+    # the expm1/log1p forms hold full precision wherever xi*x is a normal
+    # float; only below that is the exponential limit taken
     from scipy import stats as sps
     p = tg.GpdParams(1.5, xi)
     ref = sps.genpareto(c=xi, scale=p.sigma)
     x = np.append(np.geomspace(1e-3, 200.0, 80), 0.0)
     np.testing.assert_allclose(tg.pdf(p, x), ref.pdf(x), rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(tg.cdf(p, x), ref.cdf(x), rtol=1e-12, atol=0.0)
+    # scipy's genpareto cdf returns x/sigma (above 1) at |c| = 1e-200; the
+    # exponential law is exact to rounding at such a shape
+    ref_cdf = sps.expon(scale=p.sigma).cdf if abs(xi) < 1e-100 else ref.cdf
+    np.testing.assert_allclose(tg.cdf(p, x), ref_cdf(x), rtol=1e-12, atol=0.0)
     for a in (0.5, 0.99, 0.999, 0.99999):
         assert tg.quantile(p, tg.ConfidenceLevel(a)) == pytest.approx(
             ref.ppf(a), rel=1e-12)
+
+
+def test_scaled_expm1_broadcasts_an_array_of_shapes():
+    # one array expression equals per-shape quantile calls, the zero limit
+    # taken elementwise
+    xi = np.array([0.0, 1e-200, -1e-200, 9e-9, -9e-9, 0.25, -0.45, 4.0])
+    sigma = np.linspace(0.5, 3.0, xi.size)
+    level = tg.ConfidenceLevel(0.999)
+    q = sigma * _scaled_expm1(xi, -math.log1p(-level.alpha))
+    expected = [tg.quantile(tg.GpdParams(s, x), level) for s, x in zip(sigma, xi)]
+    np.testing.assert_allclose(q, expected, rtol=1e-15, atol=0.0)
+    assert q[0] == sigma[0] * -math.log1p(-level.alpha)

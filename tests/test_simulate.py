@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import tailgauge as tg
 from tailgauge import simulate
+from tailgauge.mle import MleBatch
 from tailgauge.simulate import _kolmogorov_sf
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -42,6 +44,23 @@ class TestReproducibility:
         a = tg.run(_config(seed=99))
         b = tg.run(_config(seed=100))
         assert not np.array_equal(a.q_hat_samples, b.q_hat_samples)
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        a = tg.run(_config())
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 1)   # one row per block
+        b = tg.run(_config())
+        np.testing.assert_array_equal(a.q_hat_samples, b.q_hat_samples)
+        assert (a.ks_statistic, a.failed_fits) == (b.ks_statistic, b.failed_fits)
+
+    def test_replications_are_single_fits(self):
+        # replication r is fit(sample r), through the same quantile map
+        cfg = _config()
+        rep = tg.run(cfg)
+        for r in (0, 77, 149):
+            est = tg.fit(tg.sample(cfg.params, simulate._stream(cfg.seed, r), cfg.n))
+            assert est.converged
+            q = tg.quantile(tg.GpdParams(est.sigma_hat, est.xi_hat), cfg.alpha)
+            assert q == pytest.approx(rep.q_hat_samples[r], rel=1e-15)
 
     def test_streams_differ_per_replication(self):
         g0 = simulate._stream(5, 0).random(4)
@@ -122,11 +141,23 @@ class TestRun:
 
     def test_degenerate_when_fits_fail(self, monkeypatch):
         def bad_fit(x):
-            return tg.MleEstimate(xi_hat=0.1, sigma_hat=1.0, log_likelihood=0.0,
-                                  n=len(x), converged=False)
-        monkeypatch.setattr(simulate, "fit", bad_fit)
+            rows = len(x)
+            return MleBatch(xi_hat=np.full(rows, 0.1), sigma_hat=np.ones(rows),
+                            log_likelihood=np.zeros(rows),
+                            converged=np.zeros(rows, dtype=bool))
+        monkeypatch.setattr(simulate, "fit_batch", bad_fit)
         with pytest.raises(tg.NumericalError):
             tg.run(_config())
+
+
+def test_debug_log_reports_stages(caplog):
+    with caplog.at_level(logging.DEBUG, logger="tailgauge"):
+        rep = tg.run(_config())
+    (msg,) = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("simulate run")]
+    assert f"150 replications, {rep.failed_fits} failed fits" in msg
+    for stage in ("sample", "fit", "quantile", "ks"):
+        assert f" {stage} " in msg
 
 
 class TestMleAsymptotics:
