@@ -115,13 +115,20 @@ def variance(p: GpdParams) -> float | None:
     return p.sigma**2 / ((1.0 - p.xi) ** 2 * (1.0 - 2.0 * p.xi))
 
 
+def _from_uniform(p: GpdParams, u) -> np.ndarray:
+    """The inverse transform ``sigma * (exp(xi*t) - 1)/xi``, ``t = -log(1-u)``,
+    elementwise over uniforms ``u`` of any shape."""
+    return p.sigma * _scaled_expm1(p.xi, -np.log1p(-u))
+
+
 def sample(p: GpdParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` iid values by inverse-transform sampling.
 
     The generator is owned by the caller; draws are deterministic given its
-    state and must not be shared across threads.
+    state and must not be shared across threads.  The transform is
+    ``_from_uniform``, which the Monte Carlo harness applies to a whole
+    block of rows at once, so a row drawn there equals this function's draw.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    t = -np.log1p(-rng.random(count))
-    return p.sigma * np.asarray(_scaled_expm1(p.xi, t), dtype=float)
+    return _from_uniform(p, rng.random(count))

@@ -3,9 +3,11 @@
 Each replication draws a fresh GPD sample, fits the tail model by maximum
 likelihood and records the plug-in quantile.  Replication r uses its own
 counter-based stream, Philox keyed by (seed, r), so results are bitwise
-reproducible and independent of any execution order.  Samples are fitted a
-block of rows at a time by the row-wise MLE search; each row's fit is its
-own, so results do not depend on the block size either.
+reproducible and independent of any execution order.  Samples are drawn and
+fitted a block of rows at a time: each row's uniforms come from its own
+stream, the whole block shares one inverse transform (``gpd.sample``'s), and
+the row-wise MLE search fits each row on its own, so results do not depend
+on the block size either.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .density import DensitySpec, cdf_of_estimator
 from .errors import NumericalError, ValidationError
-from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile, sample
+from .gpd import ConfidenceLevel, GpdParams, _from_uniform, _scaled_expm1, quantile
 from .mle import asymptotic_covariance, fit_batch
 
 MIN_REPLICATIONS = 100
@@ -86,7 +88,8 @@ def _replicate(config: SimConfig):
         t0 = time.perf_counter()
         x = np.empty((stop - start, n))
         for r in range(start, stop):
-            x[r - start] = sample(config.params, _stream(config.seed, r), n)
+            _stream(config.seed, r).random(out=x[r - start])
+        x = _from_uniform(config.params, x)
         t1 = time.perf_counter()
         est = fit_batch(x)
         stages["sample"] += t1 - t0

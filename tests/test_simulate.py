@@ -62,6 +62,25 @@ class TestReproducibility:
             q = tg.quantile(tg.GpdParams(est.sigma_hat, est.xi_hat), cfg.alpha)
             assert q == pytest.approx(rep.q_hat_samples[r], rel=1e-15)
 
+    @pytest.mark.parametrize("xi", [0.25, 0.0])
+    def test_block_rows_equal_per_row_samples(self, monkeypatch, xi):
+        # 64 rows per block: the blocks are 64, 64 and 22 rows of R = 150
+        cfg = _config(params=tg.GpdParams(1.0, xi))
+        real, blocks = simulate.fit_batch, []
+
+        def recording(x):
+            blocks.append(x.copy())
+            return real(x)
+
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 64 * cfg.n)
+        monkeypatch.setattr(simulate, "fit_batch", recording)
+        simulate._replicate(cfg)
+        assert [b.shape[0] for b in blocks] == [64, 64, 22]
+        x = np.concatenate(blocks)
+        for r in range(cfg.replications):
+            np.testing.assert_array_equal(
+                x[r], tg.sample(cfg.params, simulate._stream(cfg.seed, r), cfg.n))
+
     def test_streams_differ_per_replication(self):
         g0 = simulate._stream(5, 0).random(4)
         g1 = simulate._stream(5, 1).random(4)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailgauge as tg
 from tailgauge.tail import fit_tail
@@ -72,6 +74,29 @@ class TestSelectTail:
         assert sel_a.n_hat == sel_b.n_hat
         np.testing.assert_array_equal(np.sort(sel_a.exceedances),
                                       np.sort(sel_b.exceedances))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(20, 400),
+           levels=st.integers(1, 60), skew=st.floats(1.0, 6.0),
+           keep=st.integers(5, 60))
+    def test_heavy_ties(self, seed, size, levels, skew, keep):
+        # at most 60 distinct values, bunched at the low end by the skew, so
+        # the threshold almost always ties; about a third of the examples
+        # keep 10 or more values, a fifth raise with cap >= 10
+        u = np.random.default_rng(seed).random(size)
+        x = np.floor(levels * u**skew)
+        fraction = min(keep + 0.5, size - 0.5) / size
+        desc = np.sort(x)[::-1]
+        cap = math.floor(fraction * x.size)
+        survivors = int(np.sum(x > desc[cap]))   # values above the (cap+1)-th largest
+        if cap < 10 or survivors < 10:
+            with pytest.raises(tg.ValidationError):
+                tg.select_tail(tg.Sample(x), fraction)
+            return
+        sel = tg.select_tail(tg.Sample(x), fraction)
+        assert sel.n_hat == survivors <= cap
+        assert np.all(sel.exceedances > 0.0)
+        assert sel.u_hat == desc[sel.n_hat] < desc[sel.n_hat - 1]
 
 
 class TestParentQuantile:
