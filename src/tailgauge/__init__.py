@@ -10,10 +10,9 @@ whole estimation experiment for validation.
 from .bias import (BiasLawParams, BiasSurface, CALIBRATED_PARAMS,
                    PRACTICAL_PARAMS, SurfaceRow, bias_law, bias_practical,
                    correct_quantile, fit_bias_law)
-from .density import (DEFAULT_N_GRID, DEFAULT_QUADRATURE, DEFAULT_XI_GRID,
-                      DensitySpec, QuadratureConfig, QuantileStats,
-                      bias_variance_surface, cdf_of_estimator, density, psi,
-                      stats)
+from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, DensitySpec,
+                      QuantileStats, bias_variance_surface, cdf_of_estimator,
+                      density, psi, stats)
 from .errors import (NumericalError, OutsideValidatedRegionWarning,
                      QuadratureError, ValidationError)
 from .gpd import (ConfidenceLevel, GpdParams, cdf, mean, pdf, quantile,
@@ -29,9 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticCovariance", "BiasLawParams", "BiasSurface",
     "CALIBRATED_PARAMS", "ConfidenceLevel", "DEFAULT_N_GRID",
-    "DEFAULT_QUADRATURE", "DEFAULT_XI_GRID", "DensitySpec", "GpdParams",
-    "MleEstimate", "NumericalError", "OutsideValidatedRegionWarning",
-    "PRACTICAL_PARAMS", "QuadratureConfig", "QuadratureError",
+    "DEFAULT_XI_GRID", "DensitySpec", "GpdParams", "MleEstimate",
+    "NumericalError", "OutsideValidatedRegionWarning", "PRACTICAL_PARAMS",
+    "QuadratureError",
     "QuantileStats", "Sample", "SimConfig", "SimReport", "SurfaceRow",
     "TailFit", "TailSelection", "ValidationError", "asymptotic_covariance",
     "bias_law", "bias_practical", "bias_variance_surface", "cdf",

@@ -19,24 +19,32 @@ over one adaptive u-rule, and so is the bias/variance surface.  Quadrature of
 the density over z is kept only as a check: ``stats`` takes the
 normalization defect from the density's mass window, and
 ``stats(method="quadrature")`` recomputes the moments over the moment window.
-The approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5];
-anything else must be requested explicitly and is flagged by a warning.
+The u-rule, the z-windows and the z-quadrature all run at one fixed accuracy:
+relative 1e-8 (``_REL_TOL``), with at most 20 refinement or widening steps
+(``_MAX_REFINEMENTS``).  Nothing is memoised: each entry point builds its
+spec's u-rule once and hands it down.  The approximation is validated for
+``n >= 50`` and ``xi`` in [0, 0.5]; anything else must be requested
+explicitly and is flagged by a warning.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
-from .gpd import _TINY, ConfidenceLevel, GpdParams, quantile
+from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
 from .quadrature import _panel_sums, fixed_panel_rule, integrate_adaptive
+
+# relative accuracy of the u-rule, the z-windows and the z-quadrature, and the
+# cap on their refinement or widening steps
+_REL_TOL = 1e-8
+_MAX_REFINEMENTS = 20
 
 # elements of the (u, z) block of one chunk of the u-sums.  A chunk of 32K
 # doubles is 256 KB and _erfc holds about eight arrays of that size at once,
@@ -89,24 +97,6 @@ DEFAULT_XI_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy knobs: the u-rule's, the z-window's and the z-quadrature's
-    relative tolerance, and the cap on their refinement or widening steps."""
-
-    rel_tol: float = 1e-8
-    max_refinements: int = 20
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValidationError("rel_tol must be positive")
-        if self.max_refinements < 0:
-            raise ValidationError("max_refinements must be >= 0")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-@dataclass(frozen=True)
 class DensitySpec:
     """Parameter tuple (n, alpha, sigma, xi) indexing one estimator density."""
 
@@ -114,7 +104,6 @@ class DensitySpec:
     alpha: ConfidenceLevel
     sigma: float
     xi: float
-    quad: QuadratureConfig = field(default=DEFAULT_QUADRATURE)
     allow_unvalidated: bool = False
 
     def __post_init__(self):
@@ -147,18 +136,8 @@ class QuantileStats:
 
 def psi(u, level: ConfidenceLevel):
     """The weight ``u / ((1-alpha)**(-u) - 1)``; positive for all real u."""
-    return _psi_of(-math.log1p(-level.alpha), np.asarray(u, dtype=float))
-
-
-def _psi_of(t: float, u: np.ndarray):
-    out = np.full_like(u, 1.0 / t)
-    tu = t * u
-    # the u -> 0 limit 1/t only where t*u is zero or subnormal; NaN stays NaN
-    rest = ~(np.abs(tu) < _TINY)
-    out[rest] = u[rest] / np.expm1(tu[rest])
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = 1.0 / _scaled_expm1(u, -math.log1p(-level.alpha))
+    return float(out) if out.ndim == 0 else out
 
 
 def _nested(num, den, x):
@@ -225,7 +204,7 @@ def _conditional_law(spec: DensitySpec, t: float, u: np.ndarray):
     g = np.exp(-0.5 * (du / sd_u) ** 2) / (sd_u * math.sqrt(2.0 * math.pi))
     m = sigma - sigma * du / (1.0 + xi)
     s = sigma * math.sqrt((1.0 + 2.0 * xi) / spec.n)
-    return g, _psi_of(t, u), m, s
+    return g, 1.0 / _scaled_expm1(u, t), m, s
 
 
 def _integrand_matrix(law, z: np.ndarray):
@@ -254,7 +233,7 @@ def _build_u_schedule(spec: DensitySpec, t: float, q_true: float):
     hi = spec.xi + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
     n_panels = 16
     probes = prev = None
-    for _ in range(spec.quad.max_refinements + 1):
+    for _ in range(_MAX_REFINEMENTS + 1):
         nodes, weights = fixed_panel_rule(lo, hi, n_panels)
         law = _conditional_law(spec, t, nodes)
         if probes is None:
@@ -269,12 +248,12 @@ def _build_u_schedule(spec: DensitySpec, t: float, q_true: float):
         embedded = float((err.sum(axis=0) / scale).max())
         if prev is not None:
             drift = float((np.abs(vals - prev) / scale).max())
-            if embedded <= spec.quad.rel_tol and drift <= spec.quad.rel_tol:
+            if embedded <= _REL_TOL and drift <= _REL_TOL:
                 return nodes, weights
         prev = vals
         n_panels *= 2
     raise QuadratureError(
-        f"u-integral did not stabilize within {spec.quad.max_refinements} "
+        f"u-integral did not stabilize within {_MAX_REFINEMENTS} "
         f"refinements at (n={spec.n}, xi={spec.xi})")
 
 
@@ -309,7 +288,6 @@ def _moment_parts(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
     return np.stack([fz, z * fz, z * z * fz], axis=-1)
 
 
-@lru_cache(maxsize=256)
 def _plan(spec: DensitySpec) -> _Plan:
     t = -math.log1p(-spec.alpha.alpha)
     q = quantile(GpdParams(spec.sigma, spec.xi), spec.alpha)
@@ -318,23 +296,22 @@ def _plan(spec: DensitySpec) -> _Plan:
     return _Plan(t, q, mean, var, u_nodes, u_weights)
 
 
-@lru_cache(maxsize=256)
-def _window(spec: DensitySpec, moments: bool = True) -> tuple[float, float]:
+def _window(spec: DensitySpec, plan: _Plan,
+            moments: bool = True) -> tuple[float, float]:
     """Adaptive z-window: start at q +- 8 sd, widen each edge until it is idle.
 
     An edge is idle when each moment integrand there (f, |z| f, z^2 f), times
-    the window's width, is below ``rel_tol`` of its total as the u-sums give
-    it, (1, |E z|, E z^2), so the second moment is not silently truncated.
-    With ``moments=False`` only the density's own mass counts (enough for
-    plotting, the CDF and the normalization defect).  The two edges expand
-    independently.
+    the window's width, is below ``_REL_TOL`` of its total as the u-sums of
+    ``plan`` give it, (1, |E z|, E z^2), so the second moment is not silently
+    truncated.  With ``moments=False`` only the density's own mass counts
+    (enough for plotting, the CDF and the normalization defect).  The two
+    edges expand independently, at most ``_MAX_REFINEMENTS`` times.
     """
-    plan = _plan(spec)
     s = math.sqrt(max(plan.var, 1e-300))
     lo, hi = plan.q_true - 8.0 * s, plan.q_true + 8.0 * s
     totals = [1.0, abs(plan.mean), plan.var + plan.mean ** 2][:3 if moments else 1]
-    budget = spec.quad.rel_tol * np.maximum(totals, 1e-300)
-    for _ in range(spec.quad.max_refinements + 1):
+    budget = _REL_TOL * np.maximum(totals, 1e-300)
+    for _ in range(_MAX_REFINEMENTS + 1):
         parts = np.abs(_moment_parts(spec, plan, np.array([lo, hi])))
         contrib = parts[:, :len(totals)] * (hi - lo)
         grow_lo = bool(np.any(contrib[0] >= budget))
@@ -347,21 +324,21 @@ def _window(spec: DensitySpec, moments: bool = True) -> tuple[float, float]:
         if grow_hi:
             hi = c + (hi - c) * _Z_EXPANSION
     raise QuadratureError(
-        f"z-window did not close at (n={spec.n}, xi={spec.xi}); raise "
-        "max_refinements or rel_tol")
+        f"z-window did not close within {_MAX_REFINEMENTS} widenings at "
+        f"(n={spec.n}, xi={spec.xi})")
 
 
 def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
     """The adaptively chosen z-range that carries the density's mass."""
     _warn_if_unvalidated(spec)
-    return _window(spec, moments=False)
+    return _window(spec, _plan(spec), moments=False)
 
 
 def _estimator_quantiles(spec: DensitySpec, probs) -> np.ndarray:
     """Quantiles of ``cdf_of_estimator`` at ``probs``: 64 bisections of
     ``evaluation_window``, which take the bracket below the spacing of doubles."""
     plan = _plan(spec)
-    lo, hi = _window(spec, moments=False)
+    lo, hi = _window(spec, plan, moments=False)
     p = np.asarray(probs, dtype=float)
     target = p + _cdf_from_plan(spec, plan, np.array([lo]))[0]   # F(q) = G(q) - G(lo)
     a, b = np.full(p.shape, lo), np.full(p.shape, hi)
@@ -389,7 +366,7 @@ def cdf_of_estimator(spec: DensitySpec, q):
     """
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
-    lo, hi = _window(spec, moments=False)
+    lo, hi = _window(spec, plan, moments=False)
     qa = np.atleast_1d(np.asarray(q, dtype=float))
     g = _cdf_from_plan(spec, plan, np.concatenate([[lo], np.clip(qa, lo, hi)]))
     out = np.clip(g[1:] - g[0], 0.0, 1.0)
@@ -405,22 +382,23 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     ``E z^2 = E_u (m^2 + s^2)/psi^2``, and the normalization defect from a
     quadrature of the density over ``evaluation_window``.
     ``method="quadrature"`` integrates (f, z f, z^2 f) over the wider moment
-    z-window, the independent cross-check; the two agree to quadrature
-    accuracy.
+    z-window, the independent cross-check.  Both quadratures run to relative
+    ``_REL_TOL`` in at most ``_MAX_REFINEMENTS`` rounds, and the two methods
+    agree to that accuracy.
     """
     if method not in ("hermite", "quadrature"):
         raise ValidationError(f"unknown stats method {method!r}")
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
-    quad = dict(rel_tol=spec.quad.rel_tol, max_rounds=spec.quad.max_refinements)
+    quad = dict(rel_tol=_REL_TOL, max_rounds=_MAX_REFINEMENTS)
     if method == "hermite":
         mass, _err = integrate_adaptive(
             lambda zz: _density_from_plan(spec, plan, zz),
-            *_window(spec, moments=False), **quad)
+            *_window(spec, plan, moments=False), **quad)
         mean, var = plan.mean, plan.var
     else:
         totals, _err = integrate_adaptive(
-            lambda zz: _moment_parts(spec, plan, zz), *_window(spec), **quad)
+            lambda zz: _moment_parts(spec, plan, zz), *_window(spec, plan), **quad)
         mass, i1, i2 = (float(v) for v in totals)
         mean, var = i1, i2 - i1 * i1
     return QuantileStats(
@@ -432,21 +410,18 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     )
 
 
-def bias_variance_surface(
-    n_values, xi_values, alpha: ConfidenceLevel, sigma: float,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> BiasSurface:
+def bias_variance_surface(n_values, xi_values, alpha: ConfidenceLevel,
+                          sigma: float) -> BiasSurface:
     """Bias and variance over the (n, xi) grid, row-major by n then xi.
 
     Each cell carries the u-rule moments that ``stats`` returns, taken from
     the cell's plan; building the plan also checks that its u-rule resolves
-    at ``quad``'s accuracy.
+    to relative ``_REL_TOL`` within ``_MAX_REFINEMENTS`` refinements.
     """
     rows = []
     for n in n_values:
         for xi in xi_values:
-            spec = DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi),
-                               quad=quad)
+            spec = DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi))
             try:
                 plan = _plan(spec)
             except QuadratureError as exc:

@@ -56,22 +56,26 @@ class ConfidenceLevel:
 
 
 def _scaled_expm1(xi, t) -> np.ndarray:
-    """(exp(xi*t) - 1)/xi elementwise, with the xi -> 0 limit t.
+    """(exp(xi*t) - 1)/xi elementwise, with the xi -> 0 limit t; a NaN xi gives NaN.
 
     ``xi`` and ``t`` broadcast against each other.
     """
     xi, t = np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
     z = xi * t
+    direct = np.abs(z) >= _TINY
+    direct |= np.isnan(xi)   # in place: no second mask over a sample block
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(z) >= _TINY, np.expm1(z) / xi, t)
+        return np.where(direct, np.expm1(z) / xi, t)
 
 
 def _log1p_over_xi(xi: float, s) -> np.ndarray:
-    """log(1 + xi*s)/xi elementwise, with the xi -> 0 limit s."""
+    """log(1 + xi*s)/xi elementwise, with the xi -> 0 limit s; a NaN xi gives NaN."""
     s = np.asarray(s, dtype=float)
     z = xi * s
+    direct = np.abs(z) >= _TINY
+    direct |= np.isnan(xi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.abs(z) >= _TINY, np.log1p(z) / xi, s)
+        return np.where(direct, np.log1p(z) / xi, s)
 
 
 def cdf(p: GpdParams, x):

@@ -38,6 +38,8 @@ _G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])              # Gauss subset
 GAUSS_WEIGHTS = _G
 
 MAX_PANELS = 16384
+# equal panels of the first round
+_INIT_PANELS = 8
 
 
 def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -59,7 +61,7 @@ def _panel_sums(fvals: np.ndarray, half: np.ndarray):
 
 
 def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
-                       max_rounds: int = 20, init_panels: int = 8):
+                       max_rounds: int = 20):
     """Integrate ``f`` on [lo, hi] to relative tolerance ``rel_tol``.
 
     ``f(x)`` takes a flat node array; returns per-node values, or (nodes, K)
@@ -67,8 +69,8 @@ def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
     matching shape.  Raises QuadratureError when ``max_rounds + 1``
     refinement rounds or MAX_PANELS panels do not reach the tolerance.
     """
-    edges_lo = np.linspace(lo, hi, init_panels + 1)[:-1]
-    edges_hi = np.linspace(lo, hi, init_panels + 1)[1:]
+    edges_lo = np.linspace(lo, hi, _INIT_PANELS + 1)[:-1]
+    edges_hi = np.linspace(lo, hi, _INIT_PANELS + 1)[1:]
     vals, errs = _eval_panels(f, edges_lo, edges_hi)
 
     for rounds in range(max_rounds + 2):

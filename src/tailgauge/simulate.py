@@ -28,6 +28,8 @@ MIN_REPLICATIONS = 100
 MAX_FAILED_FRACTION = 0.10
 # elements of one (rows, n) block of samples fitted in one call
 _BLOCK_ELEMENTS = 1_000_000
+# the Kolmogorov series stops at the first term below this
+_KS_TERM_TOL = 1e-12
 
 _log = logging.getLogger("tailgauge")
 
@@ -146,11 +148,11 @@ def ks_test(samples, theoretical_cdf) -> tuple[float, float]:
     return d, _kolmogorov_sf(math.sqrt(x.size) * d)
 
 
-def _kolmogorov_sf(y: float, term_tol: float = 1e-12) -> float:
+def _kolmogorov_sf(y: float) -> float:
     """Survival function of the Kolmogorov distribution.
 
     Alternating series 2 * sum_k (-1)^(k-1) exp(-2 k^2 y^2), truncated once
-    terms drop below ``term_tol``.
+    terms drop below ``_KS_TERM_TOL``.
     """
     if y <= 0.0:
         return 1.0
@@ -158,7 +160,7 @@ def _kolmogorov_sf(y: float, term_tol: float = 1e-12) -> float:
     sign = 1.0
     for k in range(1, 100_001):
         term = math.exp(-2.0 * k * k * y * y)
-        if term < term_tol:
+        if term < _KS_TERM_TOL:
             break
         total += sign * term
         sign = -sign

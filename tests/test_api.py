@@ -1,0 +1,7 @@
+import tailgauge
+
+
+def test_public_names_resolve_once():
+    names = tailgauge.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(tailgauge, n)] == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import tailgauge as tg
-from tailgauge.density import (_erfc, _estimator_quantiles, _plan, _psi_of,
+from tailgauge.density import (_REL_TOL, _erfc, _estimator_quantiles, _plan,
                                _window, evaluation_window)
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -53,7 +53,7 @@ def _gauss_hermite_moments(spec):
     W = np.outer(w, w) / math.pi
     u = spec.xi + math.sqrt(2.0) * L[0, 0] * x
     v = spec.sigma + math.sqrt(2.0) * (L[1, 0] * x[:, None] + L[1, 1] * x[None, :])
-    g = v / _psi_of(t, u)[:, None]
+    g = v / (u / np.expm1(t * u))[:, None]
     mean = float((W * g).sum())
     return mean, float((W * (g - mean) ** 2).sum())
 
@@ -65,7 +65,7 @@ def _bracket_density(spec, z):
     plan = _plan(spec)
     xi, sigma, n = spec.xi, spec.sigma, spec.n
     u = plan.u_nodes
-    pu = _psi_of(plan.t, u)
+    pu = u / np.expm1(plan.t * u)
     du = u - xi
     r = pu[:, None] * z[None, :] - sigma
     br = (du * du / (1.0 + xi))[:, None] \
@@ -96,12 +96,6 @@ class TestSpecValidation:
         with pytest.raises(tg.ValidationError):
             _spec(100, -0.6, allow_unvalidated=True)
 
-    def test_quadrature_config_validation(self):
-        with pytest.raises(tg.ValidationError):
-            tg.QuadratureConfig(rel_tol=-1.0)
-        with pytest.raises(tg.ValidationError):
-            tg.QuadratureConfig(max_refinements=-1)
-
 
 class TestPsi:
     def test_removable_singularity(self):
@@ -129,6 +123,12 @@ class TestPsi:
         for u in (9e-5, 1.1e-4):
             direct = u / math.expm1(t * u)
             assert tg.psi(u, A999) == pytest.approx(direct, rel=1e-9)
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(tg.psi(np.nan, A999))
+        out = tg.psi(np.array([np.nan, 0.25]), A999)
+        assert math.isnan(out[0])
+        assert out[1] == tg.psi(0.25, A999)
 
 
 class TestDensity:
@@ -272,7 +272,7 @@ class TestStats:
                          sigma=float(rng.uniform(0.5, 2.0)))
             fast = tg.stats(spec, method="hermite")
             slow = tg.stats(spec, method="quadrature")
-            tol = 10 * spec.quad.rel_tol
+            tol = 10 * _REL_TOL
             assert abs(fast.mean - slow.mean) <= tol * max(1.0, abs(slow.mean))
             assert abs(fast.variance - slow.variance) <= tol * max(1.0, slow.variance)
 
@@ -364,10 +364,31 @@ class TestSurface:
             st = default_grid_stats[(r.n, r.xi)]
             assert (r.bias, r.variance) == (st.bias, st.variance)
 
-    def test_quadrature_failure_carries_coordinates(self):
-        tiny = tg.QuadratureConfig(rel_tol=1e-15, max_refinements=0)
+    def test_quadrature_failure_carries_coordinates(self, monkeypatch):
+        module = importlib.import_module("tailgauge.density")
+        monkeypatch.setattr(module, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(module, "_MAX_REFINEMENTS", 0)
         with pytest.raises(tg.QuadratureError, match="n=50"):
-            tg.bias_variance_surface([50], [0.25], A999, 1.0, quad=tiny)
+            tg.bias_variance_surface([50], [0.25], A999, 1.0)
+
+
+def test_accuracy_change_reaches_every_entry_point(monkeypatch, fig1_spec):
+    # nothing is memoised: after a warm call, a tighter accuracy must reach
+    # the u-rule, stats, the CDF and the window, which a cache would hide
+    tg.stats(fig1_spec)
+    evaluation_window(fig1_spec)
+    _plan(fig1_spec)
+    module = importlib.import_module("tailgauge.density")
+    monkeypatch.setattr(module, "_REL_TOL", 1e-15)
+    monkeypatch.setattr(module, "_MAX_REFINEMENTS", 0)
+    with pytest.raises(tg.QuadratureError):
+        tg.stats(fig1_spec)
+    with pytest.raises(tg.QuadratureError):
+        tg.cdf_of_estimator(fig1_spec, 20.0)
+    with pytest.raises(tg.QuadratureError):
+        evaluation_window(fig1_spec)
+    with pytest.raises(tg.QuadratureError):
+        _plan(fig1_spec)
 
 
 def test_moments_against_scipy_z_integration(fig1_spec):
@@ -388,13 +409,12 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
         raise AssertionError("z-quadrature called")
 
     monkeypatch.setattr(module, "integrate_adaptive", refuse)
-    _plan.cache_clear()
-    _window.cache_clear()
     spec = _spec(n, xi)
+    plan = _plan(spec)
     lo, hi = evaluation_window(spec)
-    assert lo < _plan(spec).q_true < hi
+    assert lo < plan.q_true < hi
     assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
-    assert _window(spec, moments=True)[1] >= hi
+    assert _window(spec, plan, moments=True)[1] >= hi
     with pytest.raises(AssertionError, match="z-quadrature"):
         tg.stats(spec)
 
@@ -462,7 +482,7 @@ def test_chunk_size_does_not_change_results(monkeypatch, n, xi, workspace):
 
 def test_cdf_workspace_stays_in_cache(fig1_spec):
     q = np.linspace(*evaluation_window(fig1_spec), 2000)
-    tg.cdf_of_estimator(fig1_spec, q)   # plan and window cached
+    tg.cdf_of_estimator(fig1_spec, q)   # first-call overhead off the trace
     tracemalloc.start()
     try:
         tg.cdf_of_estimator(fig1_spec, q)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tailgauge as tg
-from tailgauge.gpd import _scaled_expm1
+from tailgauge.gpd import _log1p_over_xi, _scaled_expm1
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -193,3 +193,16 @@ def test_scaled_expm1_broadcasts_an_array_of_shapes():
     expected = [tg.quantile(tg.GpdParams(s, x), level) for s, x in zip(sigma, xi)]
     np.testing.assert_allclose(q, expected, rtol=1e-15, atol=0.0)
     assert q[0] == sigma[0] * -math.log1p(-level.alpha)
+
+
+def test_limit_helpers_keep_a_nan_shape():
+    # a NaN xi is not the xi -> 0 limit; xi = 0 against t = inf still is
+    t = -math.log1p(-0.999)
+    assert math.isnan(_scaled_expm1(np.nan, t))
+    assert math.isnan(_log1p_over_xi(np.nan, 2.0))
+    out = _scaled_expm1(np.array([np.nan, 0.0, 0.25]), t)
+    assert math.isnan(out[0])
+    assert out[1:].tolist() == [t, math.expm1(0.25 * t) / 0.25]
+    with np.errstate(invalid="ignore"):     # 0 * inf
+        assert _scaled_expm1(0.0, np.inf) == np.inf
+        assert _log1p_over_xi(0.0, np.inf) == np.inf
