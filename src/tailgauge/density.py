@@ -15,10 +15,13 @@ that conditional normal:
 
 (the density is the paper's formula with its exponent split into the normal
 densities of ``u`` and of ``v`` given ``u``).  All of them are weighted sums
-over one adaptive u-rule, and so is the bias/variance surface.  Quadrature of
-the density over z is kept only as a check: ``stats`` takes the
-normalization defect from the density's mass window, and
-``stats(method="quadrature")`` recomputes the moments over the moment window.
+over one u-rule, and so is the bias/variance surface.  One
+``quadrature.adaptive_rule`` call builds that rule: it refines until the
+moment integrands and the density at a few probe points are resolved, and
+its totals are the moments.  ``stats`` takes the normalization defect in
+closed form, as the CDF's mass over the density's z-window; only
+``stats(method="quadrature")``, the cross-check, integrates the density over
+z, across the moment window.
 The u-rule, the z-windows and the z-quadrature all run at one fixed accuracy:
 relative 1e-8 (``_REL_TOL``), with at most 20 refinement or widening steps
 (``_MAX_REFINEMENTS``).  Nothing is memoised: each entry point builds its
@@ -39,7 +42,7 @@ import numpy as np
 from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
-from .quadrature import _panel_sums, fixed_panel_rule, integrate_adaptive
+from .quadrature import adaptive_rule, integrate_adaptive
 
 # relative accuracy of the u-rule, the z-windows and the z-quadrature, and the
 # cap on their refinement or widening steps
@@ -60,6 +63,10 @@ _WORKSPACE = 32_768
 # the u-rule spans xi - 10 sd_u to 10 sd_u above the peak of the second-moment
 # integrand, which psi^-2 ~ exp(2 t u) shifts 2 t sd_u^2 above xi
 _U_HALFWIDTH_SDS = 10.0
+# the u-rule also resolves the density at the images m(u)/psi(u) of the
+# u-quantiles xi + k sd_u, which follow the skewed law from its mode out to
+# both tails; probes spaced by the estimator's sd around q_true leave the
+# rule unrefined below the mode at (n, xi) = (50, 0.5)
 _PROBE_SDS = np.array([-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0])
 _Z_EXPANSION = 1.5
 
@@ -215,48 +222,6 @@ def _integrand_matrix(law, z: np.ndarray):
     return (g * pu / (s * math.sqrt(2.0 * math.pi)))[:, None] * np.exp(-0.5 * x * x)
 
 
-def _moments(weights: np.ndarray, law):
-    """Mean and variance of z = v/psi(u): ``E_u m/psi`` and
-    ``E_u (m^2 + s^2)/psi^2`` less the squared mean."""
-    g, pu, m, s = law
-    w = weights * g
-    mean = float(w @ (m / pu))
-    return mean, float(w @ ((m * m + s * s) / (pu * pu))) - mean * mean
-
-
-def _build_u_schedule(spec: DensitySpec, t: float, q_true: float):
-    """Composite Kronrod rule on the truncated u-range, refined until the
-    densities at probes around ``q_true`` (spaced by the sd of the 16-panel
-    rule's moments) stabilize; QuadratureError when the budget runs out."""
-    sd_u = (1.0 + spec.xi) / math.sqrt(spec.n)
-    lo = spec.xi - _U_HALFWIDTH_SDS * sd_u
-    hi = spec.xi + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
-    n_panels = 16
-    probes = prev = None
-    for _ in range(_MAX_REFINEMENTS + 1):
-        nodes, weights = fixed_panel_rule(lo, hi, n_panels)
-        law = _conditional_law(spec, t, nodes)
-        if probes is None:
-            _mean, var = _moments(weights, law)
-            probes = np.unique(q_true + math.sqrt(max(var, 1e-300)) * _PROBE_SDS)
-        m = _integrand_matrix(law, probes)
-        vals = weights @ m
-        # embedded Gauss-vs-Kronrod error, worst case over the probes
-        _k, err = _panel_sums(m.reshape(n_panels, 15, probes.size),
-                              np.full(n_panels, (hi - lo) / (2.0 * n_panels)))
-        scale = np.maximum(np.abs(vals), 1e-300)
-        embedded = float((err.sum(axis=0) / scale).max())
-        if prev is not None:
-            drift = float((np.abs(vals - prev) / scale).max())
-            if embedded <= _REL_TOL and drift <= _REL_TOL:
-                return nodes, weights
-        prev = vals
-        n_panels *= 2
-    raise QuadratureError(
-        f"u-integral did not stabilize within {_MAX_REFINEMENTS} "
-        f"refinements at (n={spec.n}, xi={spec.xi})")
-
-
 def _u_sum(weights: np.ndarray, z: np.ndarray, matrix) -> np.ndarray:
     """``weights @ matrix(z)``, over chunks of ``z`` that keep the (u, z)
     block within _WORKSPACE elements, so that the elementwise passes of
@@ -289,11 +254,36 @@ def _moment_parts(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
 
 
 def _plan(spec: DensitySpec) -> _Plan:
+    """The spec's u-rule and moments from one adaptive Kronrod call.
+
+    Over the truncated u-range the rule resolves, each to relative
+    ``_REL_TOL``, the mass of u, the moment integrands ``g m/psi`` and
+    ``g (m^2 + s^2)/psi^2``, and the density at the probes.  Where psi^-2
+    overflows the rule cannot resolve, and the QuadratureError names the spec.
+    """
     t = -math.log1p(-spec.alpha.alpha)
     q = quantile(GpdParams(spec.sigma, spec.xi), spec.alpha)
-    u_nodes, u_weights = _build_u_schedule(spec, t, q)
-    mean, var = _moments(u_weights, _conditional_law(spec, t, u_nodes))
-    return _Plan(t, q, mean, var, u_nodes, u_weights)
+    sd_u = (1.0 + spec.xi) / math.sqrt(spec.n)
+    lo = spec.xi - _U_HALFWIDTH_SDS * sd_u
+    hi = spec.xi + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        _g, psi_k, m_k, _s = _conditional_law(spec, t, spec.xi + _PROBE_SDS * sd_u)
+        probes = m_k / psi_k
+
+        def integrands(u):
+            law = _conditional_law(spec, t, u)
+            g, pu, m, s = law
+            return np.column_stack([g, g * m / pu, g * (m * m + s * s) / (pu * pu),
+                                    _integrand_matrix(law, probes)])
+
+        try:
+            totals, _err, nodes, weights = adaptive_rule(
+                integrands, lo, hi, _REL_TOL, _MAX_REFINEMENTS)
+        except QuadratureError as exc:
+            raise QuadratureError(
+                f"u-rule failed at (n={spec.n}, xi={spec.xi}): {exc}") from exc
+    mean = float(totals[1])
+    return _Plan(t, q, mean, float(totals[2]) - mean * mean, nodes, weights)
 
 
 def _window(spec: DensitySpec, plan: _Plan,
@@ -377,28 +367,29 @@ def cdf_of_estimator(spec: DensitySpec, q):
 def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     """Mean, variance and bias of the estimator density.
 
-    ``method="hermite"`` (default; the name is historical) takes the moments
-    as sums over the u-rule of the density and the CDF: ``E z = E_u m/psi``,
-    ``E z^2 = E_u (m^2 + s^2)/psi^2``, and the normalization defect from a
-    quadrature of the density over ``evaluation_window``.
-    ``method="quadrature"`` integrates (f, z f, z^2 f) over the wider moment
-    z-window, the independent cross-check.  Both quadratures run to relative
-    ``_REL_TOL`` in at most ``_MAX_REFINEMENTS`` rounds, and the two methods
-    agree to that accuracy.
+    ``method="hermite"`` (default; the name is historical) runs no
+    quadrature over z.  It takes the moments ``E z = E_u m/psi`` and
+    ``E z^2 = E_u (m^2 + s^2)/psi^2`` from the u-rule's totals, and the
+    normalization defect ``|G(hi) - G(lo) - 1|`` from the u-sum
+    ``G(q) = E_u Phi((q psi - m)/s)`` of the CDF at the ends of
+    ``evaluation_window``.  ``method="quadrature"`` integrates
+    (f, z f, z^2 f) over the wider moment z-window, the independent
+    cross-check; it runs to relative ``_REL_TOL`` in at most
+    ``_MAX_REFINEMENTS`` rounds, and the two methods agree to that accuracy.
     """
     if method not in ("hermite", "quadrature"):
         raise ValidationError(f"unknown stats method {method!r}")
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
-    quad = dict(rel_tol=_REL_TOL, max_rounds=_MAX_REFINEMENTS)
     if method == "hermite":
-        mass, _err = integrate_adaptive(
-            lambda zz: _density_from_plan(spec, plan, zz),
-            *_window(spec, plan, moments=False), **quad)
+        g_lo, g_hi = _cdf_from_plan(
+            spec, plan, np.array(_window(spec, plan, moments=False)))
+        mass = g_hi - g_lo
         mean, var = plan.mean, plan.var
     else:
         totals, _err = integrate_adaptive(
-            lambda zz: _moment_parts(spec, plan, zz), *_window(spec, plan), **quad)
+            lambda zz: _moment_parts(spec, plan, zz), *_window(spec, plan),
+            rel_tol=_REL_TOL, max_rounds=_MAX_REFINEMENTS)
         mass, i1, i2 = (float(v) for v in totals)
         mean, var = i1, i2 - i1 * i1
     return QuantileStats(
@@ -422,11 +413,7 @@ def bias_variance_surface(n_values, xi_values, alpha: ConfidenceLevel,
     for n in n_values:
         for xi in xi_values:
             spec = DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi))
-            try:
-                plan = _plan(spec)
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"surface cell (n={n}, xi={xi}) failed: {exc}") from exc
+            plan = _plan(spec)
             rows.append(SurfaceRow(n=int(n), xi=float(xi),
                                    bias=plan.mean - plan.q_true,
                                    variance=plan.var))

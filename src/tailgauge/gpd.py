@@ -61,7 +61,10 @@ def _scaled_expm1(xi, t) -> np.ndarray:
     ``xi`` and ``t`` broadcast against each other.
     """
     xi, t = np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
-    z = xi * t
+    # the product alone: with the mask passes also under errstate, glibc's
+    # heap layout moved and a fresh R=2000 `simulate` peaked 1.2 MB higher
+    with np.errstate(invalid="ignore"):   # 0 * inf
+        z = xi * t
     direct = np.abs(z) >= _TINY
     direct |= np.isnan(xi)   # in place: no second mask over a sample block
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -71,7 +74,8 @@ def _scaled_expm1(xi, t) -> np.ndarray:
 def _log1p_over_xi(xi: float, s) -> np.ndarray:
     """log(1 + xi*s)/xi elementwise, with the xi -> 0 limit s; a NaN xi gives NaN."""
     s = np.asarray(s, dtype=float)
-    z = xi * s
+    with np.errstate(invalid="ignore"):   # 0 * inf
+        z = xi * s
     direct = np.abs(z) >= _TINY
     direct |= np.isnan(xi)
     with np.errstate(divide="ignore", invalid="ignore"):

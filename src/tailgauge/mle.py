@@ -214,15 +214,16 @@ def fit_batch(data) -> MleBatch:
 def fit(data) -> MleEstimate:
     """Maximize the GPD likelihood over xi in [-0.49, 5], sigma > 0.
 
-    The one-row case of ``fit_batch``.  Raises ValidationError for fewer than
-    two points, negative values, or constant data.  A maximizer found at the
+    The one-row case of ``fit_batch``.  Raises ValidationError for data that
+    are not one-dimensional, fewer than two points, negative values, or
+    constant data.  A maximizer found at the
     edge of the search bracket (the likelihood may be unbounded when many
     points are zero) is reported via ``converged=False`` rather than an
     exception.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
-        raise ValidationError("need at least two observations")
+        raise ValidationError(f"data must be one-dimensional, got shape {x.shape}")
     est = fit_batch(x[None, :])
     return MleEstimate(
         xi_hat=float(est.xi_hat[0]),

@@ -5,7 +5,9 @@ error estimate per panel.  Refinement is round-based: every round bisects the
 panels whose error exceeds their share of the budget, and all new panels are
 evaluated in one batched call.  Integrands map a node array to one value per
 node (scalar mode) or to a (nodes, K) block (vector mode, K components
-integrated simultaneously over the same panels).
+integrated simultaneously over the same panels).  ``adaptive_rule`` also
+hands back the converged panels as one flat (nodes, weights) rule, for sums
+of other integrands that the same panels resolve.
 """
 
 from __future__ import annotations
@@ -60,14 +62,18 @@ def _panel_sums(fvals: np.ndarray, half: np.ndarray):
     return k, np.abs(k - g)
 
 
-def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
-                       max_rounds: int = 20):
-    """Integrate ``f`` on [lo, hi] to relative tolerance ``rel_tol``.
+def adaptive_rule(f, lo: float, hi: float, rel_tol: float,
+                  max_rounds: int = 20):
+    """Refine a composite Kronrod rule for ``f`` on [lo, hi] to ``rel_tol``.
 
     ``f(x)`` takes a flat node array; returns per-node values, or (nodes, K)
-    for K simultaneous components.  Returns (integral, error_estimate) with
-    matching shape.  Raises QuadratureError when ``max_rounds + 1``
-    refinement rounds or MAX_PANELS panels do not reach the tolerance.
+    for K simultaneous components, each held to ``rel_tol`` of its own total.
+    Returns (integral, error_estimate, nodes, weights): the integral and
+    error have the shape of one row of ``f``, and the flat ``nodes`` and
+    ``weights`` are the rule of the panels it converged on, so
+    ``weights @ f(nodes)`` is the integral up to rounding.  Raises
+    QuadratureError when ``max_rounds + 1`` refinement rounds or MAX_PANELS
+    panels do not reach the tolerance.
     """
     edges_lo = np.linspace(lo, hi, _INIT_PANELS + 1)[:-1]
     edges_hi = np.linspace(lo, hi, _INIT_PANELS + 1)[1:]
@@ -78,7 +84,8 @@ def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
         err = errs.sum(axis=0)
         scale = np.maximum(np.abs(total), 1e-300)
         if np.all(err <= rel_tol * scale):
-            return total, err
+            weights = 0.5 * (edges_hi - edges_lo)[:, None] * KRONROD_WEIGHTS[None, :]
+            return total, err, panel_nodes(edges_lo, edges_hi).ravel(), weights.ravel()
         if rounds > max_rounds:
             raise QuadratureError(
                 f"no convergence after {rounds} refinement rounds "
@@ -102,6 +109,13 @@ def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
         edges_lo, edges_hi = new_lo, new_hi
 
 
+def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
+                       max_rounds: int = 20):
+    """(integral, error_estimate) of ``adaptive_rule``, without its rule."""
+    total, err, _nodes, _weights = adaptive_rule(f, lo, hi, rel_tol, max_rounds)
+    return total, err
+
+
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (hi - lo)
     nodes = panel_nodes(lo, hi)
@@ -111,12 +125,3 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     else:
         fv = fv.reshape(nodes.shape + (fv.shape[-1],))
     return _panel_sums(fv, half)
-
-
-def fixed_panel_rule(lo: float, hi: float, n_panels: int):
-    """Flat (nodes, weights) arrays of a composite Kronrod rule on [lo, hi]."""
-    e = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (e[1:] - e[:-1])
-    nodes = panel_nodes(e[:-1], e[1:]).ravel()
-    weights = (half[:, None] * KRONROD_WEIGHTS[None, :]).ravel()
-    return nodes, weights

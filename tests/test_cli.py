@@ -146,6 +146,12 @@ class TestDensityCommand:
         assert rows[:, 1].sum() * dz == pytest.approx(1.0, abs=1e-3)
         assert np.sum(rows[:, 1] >= 0.5 * rows[:, 1].max()) >= 8
 
+    def test_unresolvable_spec_exits_3(self, tmp_path, capsys):
+        # the u-rule cannot resolve psi^-2 here; a typed error, not an OOM
+        assert main(["density", "--n", "10", "--xi", "5", "--alpha", "0.99999",
+                     "--override-region", "--out", str(tmp_path / "d.csv")]) == 3
+        assert "n=10, xi=5.0" in capsys.readouterr().err
+
     def test_out_of_region_refused(self, capsys):
         assert main(["density", "--n", "30", "--xi", "0.25"]) == 2
         assert "validated region" in capsys.readouterr().err

@@ -402,7 +402,8 @@ def test_moments_against_scipy_z_integration(fig1_spec):
 
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
 def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
-    # only stats() integrates over z; the windows come from the u-sums
+    # only the stats(method="quadrature") cross-check integrates over z; the
+    # windows, the CDF and default stats come from the u-sums
     module = importlib.import_module("tailgauge.density")
 
     def refuse(*args, **kwargs):
@@ -415,8 +416,9 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
     assert lo < plan.q_true < hi
     assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
     assert _window(spec, plan, moments=True)[1] >= hi
+    assert tg.stats(spec).normalization_defect <= 1e-6
     with pytest.raises(AssertionError, match="z-quadrature"):
-        tg.stats(spec)
+        tg.stats(spec, method="quadrature")
 
 
 def test_window_covers_mass(fig1_spec, fig1_stats):
@@ -440,7 +442,8 @@ def test_conditional_normal_density_matches_bracket_form(n, xi, alpha, sigma):
     assert np.abs(mine - ref).max() <= 1e-13 * ref.max()
 
 
-@pytest.mark.parametrize("n, xi", [(20, 0.5), (30, 0.25), (10, 0.25)])
+@pytest.mark.parametrize("n, xi", [(20, 0.5), (30, 0.25), (10, 0.25),
+                                   (10, 1.0), (5, 0.25)])
 def test_stats_returns_plan_moments_where_no_moment_window_closes(n, xi):
     spec = _spec(n, xi, allow_unvalidated=True)
     with pytest.warns(tg.OutsideValidatedRegionWarning):
@@ -451,19 +454,25 @@ def test_stats_returns_plan_moments_where_no_moment_window_closes(n, xi):
 
 
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
-def test_default_stats_integrates_only_the_density_over_the_mass_window(
-        monkeypatch, n, xi):
+def test_default_stats_defect_matches_density_quadrature_over_mass_window(n, xi):
+    # the closed-form mass G(hi) - G(lo) against the density integrated
+    # over the same window by the adaptive z-quadrature
     module = importlib.import_module("tailgauge.density")
-    real, calls = module.integrate_adaptive, []
-
-    def recording(f, lo, hi, **kwargs):
-        calls.append((f(np.linspace(lo, hi, 7)).shape, lo, hi))
-        return real(f, lo, hi, **kwargs)
-
-    monkeypatch.setattr(module, "integrate_adaptive", recording)
     spec = _spec(n, xi)
-    tg.stats(spec)
-    assert calls == [((7,), *evaluation_window(spec))]
+    mass, _err = module.integrate_adaptive(
+        lambda z: tg.density(spec, z), *evaluation_window(spec),
+        rel_tol=module._REL_TOL, max_rounds=module._MAX_REFINEMENTS)
+    assert abs(abs(mass - 1.0) - tg.stats(spec).normalization_defect) <= 1e-12
+
+
+@pytest.mark.parametrize("n, xi, alpha", [(2, 2.0, 0.999), (10, 5.0, 0.99999)])
+def test_unresolvable_u_rule_raises_quadrature_error(n, xi, alpha):
+    # psi^-2 overflows on the u-range: a typed error naming the spec, not a
+    # MemoryError from an unbounded refinement or a RuntimeWarning
+    spec = _spec(n, xi, alpha=alpha, allow_unvalidated=True)
+    with pytest.warns(tg.OutsideValidatedRegionWarning):
+        with pytest.raises(tg.QuadratureError, match=f"n={n}, xi={xi}"):
+            tg.stats(spec)
 
 
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])

@@ -83,6 +83,8 @@ class TestFit:
             tg.fit([2.0, 2.0, 2.0])
         with pytest.raises(tg.ValidationError):
             tg.fit([1.0, -1.0, 2.0])
+        with pytest.raises(tg.ValidationError, match="one-dimensional"):
+            tg.fit([[1.0, 2.0], [3.0, 4.0]])
 
     def test_equivariance_under_scaling(self):
         rng = np.random.default_rng(13)

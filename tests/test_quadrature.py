@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tailgauge as tg
-from tailgauge.quadrature import integrate_adaptive
+from tailgauge.quadrature import adaptive_rule, integrate_adaptive
 
 
 def test_refinement_of_the_last_round_is_checked():
@@ -37,3 +37,14 @@ def test_panel_budget_exhaustion_raises():
     with pytest.raises(tg.QuadratureError, match="panel budget exhausted"):
         integrate_adaptive(lambda x: 1.0 + np.sin(1e6 * x), 0.0, 1.0,
                            rel_tol=1e-12, max_rounds=100)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_rule_reproduces_its_total(vector):
+    def f(x):
+        g = np.exp(-x * x)
+        return np.stack([g, x * x * g, np.cos(x) ** 2], axis=-1) if vector else g
+
+    total, err, nodes, weights = adaptive_rule(f, -6.0, 6.0, rel_tol=1e-12)
+    assert nodes.shape == weights.shape
+    np.testing.assert_allclose(weights @ f(nodes), total, rtol=2e-15, atol=0.0)
