@@ -27,6 +27,8 @@ from .tail import Sample, estimate_parent_quantile, fit_tail, \
     parent_quantile_from_tail_quantile
 
 ENV_PREFIX = "TAILGAUGE_"
+TEXT_ENCODING = "utf-8-sig"  # UTF-8; a leading BOM is dropped
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
 TAIL_FRACTION_BOUNDS = (0.02, 0.5)
 MIN_FIT_ROWS = 100
 DENSITY_GRID_POINTS = 512
@@ -73,7 +75,7 @@ def _config_file(args: argparse.Namespace) -> dict:
         return {}
     if getattr(args, "_config_cache", None) is None:
         out = {}
-        with open(path, encoding="utf-8", errors="replace") as fh:
+        with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -104,9 +106,52 @@ def _parse_grid(text: str, log_spaced: bool, cast):
 
 
 def read_series(path: str) -> np.ndarray:
-    """One numeric value per line, optional single header line, UTF-8."""
+    """Read a loss series: UTF-8 text (a BOM is allowed), one value per line.
+
+    Line 1 may be a header, i.e. any text that is not a number.  Blank lines
+    are skipped; there are no comment lines.  A bad value raises
+    ValidationError naming ``path:line``, and so does a non-finite value.
+    One ``np.loadtxt`` call parses the series; the line loop runs only where
+    that call cannot be trusted, to give its exact result or error.
+    """
+    values = _load_column(path)
+    if values is None:
+        values = _read_lines(path)
+    if values.size and not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: series contains non-finite values")
+    return values
+
+
+def _load_column(path: str) -> np.ndarray | None:
+    """The series from one ``np.loadtxt`` call, or None to defer to the loop."""
+    # numpy opens a str path through its DataSource, which decompresses by
+    # file extension and fetches URLs; a plain absolute path it just opens.
+    if os.path.splitext(path)[1] in _NUMPY_DECOMPRESSES:
+        return None
+    with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
+        first = fh.readline().strip()
+    try:
+        float(first)
+        header = False
+    except ValueError:
+        header = bool(first)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "no data" warning
+            table = np.loadtxt(os.path.abspath(path), dtype=float,
+                               comments=None, ndmin=2, skiprows=int(header),
+                               encoding=TEXT_ENCODING)
+    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+        return None
+    # with ndmin=2 a lone row "1 2" stays two columns; ndmin=1 would squeeze
+    # it into the series [1, 2]
+    return table[:, 0] if table.shape[1] == 1 else None
+
+
+def _read_lines(path: str) -> np.ndarray:
+    """The line loop: the series, or the error naming the first bad line."""
     values = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
         for i, line in enumerate(fh):
             text = line.strip()
             if not text:
@@ -117,10 +162,7 @@ def read_series(path: str) -> np.ndarray:
                 if i == 0:
                     continue  # header
                 raise ValidationError(f"{path}:{i + 1}: not a number: {text!r}")
-    arr = np.array(values, dtype=float)
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{path}: series contains non-finite values")
-    return arr
+    return np.array(values, dtype=float)
 
 
 def _write(text: str, out_path: str | None) -> None:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tailgauge as tg
 from tailgauge import cli
@@ -37,6 +40,80 @@ class TestReadSeries:
         p.write_text("1.0\nnot-a-number\n")
         with pytest.raises(tg.ValidationError, match="line|number|:2"):
             read_series(p)
+
+    def test_bad_value_names_its_line(self, tmp_path, capsys):
+        p = tmp_path / "file.csv"
+        p.write_text("loss\n\n1.5\n   \n2.5\nbad\n3.5\n")
+        msg = f"{p}:6: not a number: 'bad'"
+        with pytest.raises(tg.ValidationError) as exc:
+            read_series(p)
+        assert str(exc.value) == msg
+        assert main(["fit", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
+    def test_compressed_name_is_read_as_text(self, tmp_path):
+        p = tmp_path / "s.csv.gz"
+        p.write_bytes(gzip.compress(b"1.5\n2.5\n"))
+        assert cli._load_column(p) is None
+
+
+# name: (file bytes, whether np.loadtxt parses it, values or error text)
+READ_CORPUS = {
+    "header": (b"loss\n1.5\n2.5\n", True, [1.5, 2.5]),
+    "no_header": (b"1.5\n2.5\n", True, [1.5, 2.5]),
+    "blank_lines": (b"loss\n\n1.5\n   \n\t\n2.5\n\n", True, [1.5, 2.5]),
+    "crlf": (b"loss\r\n1.5\r\n\r\n2.5\r\n", True, [1.5, 2.5]),
+    "bom_value": (b"\xef\xbb\xbf1.5\n2.5\n", True, [1.5, 2.5]),
+    "bom_header": (b"\xef\xbb\xbfloss\n1.5\n", True, [1.5]),
+    "single_value": (b"3.25", True, [3.25]),
+    "underscore": (b"1_0\n2\n", False, [10.0, 2.0]),
+    "nan": (b"1\nnan\n", True, "non-finite"),
+    "inf": (b"loss\ninf\n1\n", True, "non-finite"),
+    "comment": (b"1\n# note\n2\n", False, ":2: not a number: '# note'"),
+    "two_per_line": (b"1 2\n3 4\n", False, ":2: not a number: '3 4'"),
+    "header_then_two": (b"loss\n1 2\n", False, ":2: not a number: '1 2'"),
+    "bad_utf8_header": (b"lo\xffss\n1.5\n", False, [1.5]),
+    "bad_utf8_value": (b"1.5\n2\xff\n", False,
+                       ":2: not a number: '2\ufffd'"),
+    "empty": (b"", False, []),
+    "header_only": (b"loss\n", False, []),
+}
+
+
+def _read_outcome(path):
+    try:
+        values = read_series(path)
+    except tg.ValidationError as exc:
+        return str(exc)
+    return values.shape, values.tobytes()
+
+
+class TestFastPathMatchesLoop:
+    @pytest.mark.parametrize("data, fast, expected", READ_CORPUS.values(),
+                             ids=READ_CORPUS.keys())
+    def test_same_values_or_error(self, tmp_path, monkeypatch, data, fast,
+                                  expected):
+        p = tmp_path / "s.csv"
+        p.write_bytes(data)
+        assert (cli._load_column(p) is not None) == fast
+        got = _read_outcome(p)
+        if isinstance(expected, str):
+            assert expected in got
+        else:
+            want = np.array(expected, dtype=float)
+            assert got == (want.shape, want.tobytes())
+        monkeypatch.setattr(cli, "_load_column", lambda path: None)
+        assert _read_outcome(p) == got
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=50))
+    def test_repr_round_trips_bitwise(self, tmp_path_factory, values):
+        p = tmp_path_factory.getbasetemp() / "repr.csv"
+        p.write_text("\n".join(map(repr, values)) + "\n")
+        expected = np.array(values, dtype=float).tobytes()
+        assert cli._load_column(p).tobytes() == expected
+        assert read_series(p).tobytes() == expected
 
 
 class TestFitCommand:
@@ -262,6 +339,16 @@ class TestConfigLayering:
             rows = np.loadtxt(tmp_path / f"tab_{name}.csv", delimiter=",",
                               skiprows=1)
             assert rows[0, 2] == pytest.approx(expected)
+
+    def test_config_file_with_utf8_bom(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("TAILGAUGE_ALPHA", raising=False)
+        cfg = tmp_path / "tg.conf"
+        cfg.write_bytes(b"\xef\xbb\xbfalpha = 0.99\n")
+        out = tmp_path / "tab.csv"
+        assert main(["bias-table", "--grid-n", "100", "--grid-xi", "0.25",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert rows[0, 2] == 0.99
 
     def test_io_error_exit_code(self, tmp_path):
         assert main(["correct", "--q-hat", "1.0", "--n", "10", "--xi", "0.1",
