@@ -8,6 +8,7 @@ config file (via --config) > built-in defaults.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -111,25 +112,34 @@ def read_series(path: str) -> np.ndarray:
     Line 1 may be a header, i.e. any text that is not a number.  Blank lines
     are skipped; there are no comment lines.  A bad value raises
     ValidationError naming ``path:line``, and so does a non-finite value.
-    One ``np.loadtxt`` call parses the series; the line loop runs only where
-    that call cannot be trusted, to give its exact result or error.
+    A regular file is parsed by one ``np.loadtxt`` call; the line loop runs
+    on any other input (a pipe, say) and where that call cannot be trusted,
+    to give its exact result or error.
     """
-    values = _load_column(path)
-    if values is None:
-        values = _read_lines(path)
+    with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
+        first = fh.readline()
+        values = _load_column(path, first)
+        if values is None:
+            values = _read_lines(itertools.chain([first], fh), path)
     if values.size and not np.all(np.isfinite(values)):
         raise ValidationError(f"{path}: series contains non-finite values")
     return values
 
 
-def _load_column(path: str) -> np.ndarray | None:
-    """The series from one ``np.loadtxt`` call, or None to defer to the loop."""
-    # numpy opens a str path through its DataSource, which decompresses by
-    # file extension and fetches URLs; a plain absolute path it just opens.
-    if os.path.splitext(path)[1] in _NUMPY_DECOMPRESSES:
+def _load_column(path: str, first: str) -> np.ndarray | None:
+    """The series from one ``np.loadtxt`` call, or None to defer to the loop.
+
+    ``first`` is the file's line 1; it decides whether to skip a header.
+    """
+    # numpy opens the path anew, which reads the same bytes again only for a
+    # regular file: a pipe would be drained.  It opens a str path through its
+    # DataSource, which decompresses by file extension and fetches URLs; a
+    # plain absolute path it just opens.  (Handed our open file instead, it
+    # pulls one line at a time and parses about half again slower.)
+    if (not os.path.isfile(path)
+            or os.path.splitext(path)[1] in _NUMPY_DECOMPRESSES):
         return None
-    with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
-        first = fh.readline().strip()
+    first = first.strip()
     try:
         float(first)
         header = False
@@ -148,20 +158,20 @@ def _load_column(path: str) -> np.ndarray | None:
     return table[:, 0] if table.shape[1] == 1 else None
 
 
-def _read_lines(path: str) -> np.ndarray:
-    """The line loop: the series, or the error naming the first bad line."""
+def _read_lines(lines, path: str) -> np.ndarray:
+    """The line loop over ``path``'s lines: the series, or the error naming
+    the first bad line."""
     values = []
-    with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
-        for i, line in enumerate(fh):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                if i == 0:
-                    continue  # header
-                raise ValidationError(f"{path}:{i + 1}: not a number: {text!r}")
+    for i, line in enumerate(lines):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            if i == 0:
+                continue  # header
+            raise ValidationError(f"{path}:{i + 1}: not a number: {text!r}")
     return np.array(values, dtype=float)
 
 

@@ -51,10 +51,29 @@ class TestReadSeries:
         assert main(["fit", str(p)]) == 2
         assert capsys.readouterr().err == f"error: {msg}\n"
 
-    def test_compressed_name_is_read_as_text(self, tmp_path):
+    def test_compressed_name_is_not_decompressed(self, tmp_path, monkeypatch):
         p = tmp_path / "s.csv.gz"
-        p.write_bytes(gzip.compress(b"1.5\n2.5\n"))
-        assert cli._load_column(p) is None
+        p.write_bytes(gzip.compress(b"1.5\n2.5\n", mtime=0))
+        assert _fast_column(p) is None
+        got = _read_outcome(p)
+        want = np.array([1.5, 2.5])
+        assert got != (want.shape, want.tobytes())
+        monkeypatch.setattr(cli, "_load_column", lambda path, first: None)
+        assert _read_outcome(p) == got
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read_whole(self):
+        values = [i / 7.0 for i in range(2000)]  # ~40 KB, within a pipe buffer
+        data = ("loss\n" + "".join(f"{v!r}\n" for v in values)).encode()
+        assert 8192 < len(data) < 65536
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            got = read_series(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert got.tobytes() == np.array(values).tobytes()
 
 
 # name: (file bytes, whether np.loadtxt parses it, values or error text)
@@ -80,6 +99,11 @@ READ_CORPUS = {
 }
 
 
+def _fast_column(path):
+    with open(path, encoding=cli.TEXT_ENCODING, errors="replace") as fh:
+        return cli._load_column(path, fh.readline())
+
+
 def _read_outcome(path):
     try:
         values = read_series(path)
@@ -95,14 +119,14 @@ class TestFastPathMatchesLoop:
                                   expected):
         p = tmp_path / "s.csv"
         p.write_bytes(data)
-        assert (cli._load_column(p) is not None) == fast
+        assert (_fast_column(p) is not None) == fast
         got = _read_outcome(p)
         if isinstance(expected, str):
             assert expected in got
         else:
             want = np.array(expected, dtype=float)
             assert got == (want.shape, want.tobytes())
-        monkeypatch.setattr(cli, "_load_column", lambda path: None)
+        monkeypatch.setattr(cli, "_load_column", lambda path, first: None)
         assert _read_outcome(p) == got
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -112,7 +136,7 @@ class TestFastPathMatchesLoop:
         p = tmp_path_factory.getbasetemp() / "repr.csv"
         p.write_text("\n".join(map(repr, values)) + "\n")
         expected = np.array(values, dtype=float).tobytes()
-        assert cli._load_column(p).tobytes() == expected
+        assert _fast_column(p).tobytes() == expected
         assert read_series(p).tobytes() == expected
 
 
