@@ -70,6 +70,8 @@ def bias_law(params: BiasLawParams, n: int, xi: float) -> float:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if not math.isfinite(xi):
+        raise ValidationError(f"xi must be finite, got {xi}")
     try:
         value = float(n) ** params.a1 * math.exp(LN10 * (params.a2 * xi + params.a3))
     except OverflowError:

@@ -363,6 +363,8 @@ def cmd_regress(args: argparse.Namespace) -> None:
 def cmd_correct(args: argparse.Namespace) -> None:
     if args.q_hat is None or args.n is None or args.xi is None:
         raise ValidationError("correct requires --q-hat, --n and --xi")
+    if not math.isfinite(args.q_hat):
+        raise ValidationError(f"--q-hat must be finite, got {args.q_hat}")
     if args.law_params:
         parts = args.law_params.split(",")
         if len(parts) != 3:

@@ -10,7 +10,8 @@ is normal with mean ``m(u) = sigma - sigma (u-xi)/(1+xi)`` and sd
 that conditional normal:
 
     density    f(z) = E_u psi(u) phi((z psi(u) - m(u))/s) / s
-    CDF        F(z) = E_u Phi((z psi(u) - m(u))/s)
+    CDF        G(z) = E_u Phi((z psi(u) - m(u))/s)
+    survival   S(z) = E_u Phi(-(z psi(u) - m(u))/s)
     moments    E z = E_u m/psi,  E z^2 = E_u (m^2 + s^2)/psi^2
 
 (the density is the paper's formula with its exponent split into the normal
@@ -18,10 +19,12 @@ densities of ``u`` and of ``v`` given ``u``).  All of them are weighted sums
 over one u-rule, and so is the bias/variance surface.  One
 ``quadrature.adaptive_rule`` call builds that rule: it refines until the
 moment integrands and the density at a few probe points are resolved, and
-its totals are the moments.  ``stats`` takes the normalization defect in
-closed form, as the CDF's mass over the density's z-window; only
-``stats(method="quadrature")``, the cross-check, integrates the density over
-z, across the moment window.
+its totals are the moments.  ``G`` is the CDF on the whole line, with no
+window behind it; quantiles bisect ``G`` up to the median and ``S`` above.
+The density's z-window brackets them, serves ``evaluation_window`` and gives
+``stats`` the normalization defect in closed form, as the CDF's mass over it;
+only ``stats(method="quadrature")``, the cross-check, integrates the density
+over z, across the moment window.
 The u-rule, the z-windows and the z-quadrature all run at one fixed accuracy:
 relative 1e-8 (``_REL_TOL``), with at most 20 refinement or widening steps
 (``_MAX_REFINEMENTS``).  Nothing is memoised: each entry point builds its
@@ -239,11 +242,12 @@ def _density_from_plan(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndar
     return _u_sum(plan.u_weights, z, lambda zz: _integrand_matrix(law, zz))
 
 
-def _cdf_from_plan(spec: DensitySpec, plan: _Plan, q: np.ndarray) -> np.ndarray:
-    """``E_u Phi((q psi(u) - m(u))/s)`` on the plan's u-rule, with
-    ``Phi(x) = erfc(-x/sqrt(2))/2``."""
+def _cdf_from_plan(spec: DensitySpec, plan: _Plan, q, upper=False) -> np.ndarray:
+    """``G(q)``, or with ``upper`` ``S(q)``, on the plan's u-rule, with
+    ``Phi(x) = erfc(-x/sqrt(2))/2``; S keeps its relative precision where G is 1."""
     g, pu, m, s = _conditional_law(spec, plan.t, plan.u_nodes)
     a, b = (pu / (math.sqrt(2.0) * s))[:, None], (m / (math.sqrt(2.0) * s))[:, None]
+    a, b = (-a, -b) if upper else (a, b)
     return _u_sum(0.5 * plan.u_weights * g, q, lambda qq: _erfc(b - a * qq[None, :]))
 
 
@@ -294,7 +298,8 @@ def _window(spec: DensitySpec, plan: _Plan,
     the window's width, is below ``_REL_TOL`` of its total as the u-sums of
     ``plan`` give it, (1, |E z|, E z^2), so the second moment is not silently
     truncated.  With ``moments=False`` only the density's own mass counts
-    (enough for plotting, the CDF and the normalization defect).  The two
+    (enough for plotting, the quantile bracket and the normalization defect;
+    the CDF needs no window).  The two
     edges expand independently, at most ``_MAX_REFINEMENTS`` times.
     """
     s = math.sqrt(max(plan.var, 1e-300))
@@ -325,18 +330,26 @@ def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
 
 
 def _estimator_quantiles(spec: DensitySpec, probs) -> np.ndarray:
-    """Quantiles of ``cdf_of_estimator`` at ``probs``: 64 bisections of
-    ``evaluation_window``, which take the bracket below the spacing of doubles."""
+    """Quantiles of ``cdf_of_estimator`` at ``probs``: ``G(q) = p`` for
+    ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an ulp
+    of 1, bisected in ``_window(moments=False)`` to adjacent doubles."""
     plan = _plan(spec)
-    lo, hi = _window(spec, plan, moments=False)
     p = np.asarray(probs, dtype=float)
-    target = p + _cdf_from_plan(spec, plan, np.array([lo]))[0]   # F(q) = G(q) - G(lo)
-    a, b = np.full(p.shape, lo), np.full(p.shape, hi)
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        below = _cdf_from_plan(spec, plan, mid) < target
+    upper, target = p > 0.5, np.where(p > 0.5, 1.0 - p, p)
+
+    def short(q):   # True where q lies below the quantile
+        return np.where(upper, _cdf_from_plan(spec, plan, q, upper=True) > target,
+                        _cdf_from_plan(spec, plan, q) < target)
+    a, b = (np.full(p.shape, e) for e in _window(spec, plan, moments=False))
+    if np.any(~short(a) | short(b)):
+        raise QuadratureError(
+            f"z-window does not bracket the quantiles at (n={spec.n}, xi={spec.xi})")
+    mid = 0.5 * (a + b)
+    while np.any((a < mid) & (mid < b)):
+        below = short(mid)
         a, b = np.where(below, mid, a), np.where(below, b, mid)
-    return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+    return mid
 
 
 def density(spec: DensitySpec, z):
@@ -349,18 +362,11 @@ def density(spec: DensitySpec, z):
 
 
 def cdf_of_estimator(spec: DensitySpec, q):
-    """CDF of the quantile estimator at ``q`` (scalar or array).
-
-    The density's mass from the lower edge of ``evaluation_window`` to ``q``
-    (clipped to the window): exactly 0 below the window.
-    """
+    """CDF of the quantile estimator at ``q`` (scalar or array): the u-sum
+    ``G(q)`` on the whole line, 0 at -inf, the u-rule's mass (1 to about
+    1e-14) at +inf, NaN at NaN."""
     _warn_if_unvalidated(spec)
-    plan = _plan(spec)
-    lo, hi = _window(spec, plan, moments=False)
-    qa = np.atleast_1d(np.asarray(q, dtype=float))
-    g = _cdf_from_plan(spec, plan, np.concatenate([[lo], np.clip(qa, lo, hi)]))
-    out = np.clip(g[1:] - g[0], 0.0, 1.0)
-    out[qa <= lo] = 0.0
+    out = _cdf_from_plan(spec, _plan(spec), np.atleast_1d(np.asarray(q, dtype=float)))
     return float(out[0]) if np.ndim(q) == 0 else out
 
 

@@ -27,6 +27,11 @@ class TestBiasLaw:
         with pytest.raises(tg.ValidationError):
             tg.bias_law(tg.PRACTICAL_PARAMS, 0, 0.2)
 
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_xi_validated(self, xi):
+        with pytest.raises(tg.ValidationError, match="finite"):
+            tg.bias_law(tg.PRACTICAL_PARAMS, 100, xi)
+
     @pytest.mark.parametrize("params, n", [
         ((1.0, 1000.0, 1.0), 10),       # exp(...) overflows
         ((400.0, 0.0, 0.0), 10),        # n**a1 overflows

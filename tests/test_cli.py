@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tailgauge as tg
 from tailgauge import cli
 from tailgauge.cli import _emit_json, main, read_series
+from tailgauge.density import _cdf_from_plan, _plan
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +254,19 @@ class TestDensityCommand:
                      "--override-region", "--out", str(tmp_path / "d.csv")]) == 3
         assert "n=10, xi=5.0" in capsys.readouterr().err
 
+    def test_grid_ends_are_the_tail_quantiles(self, tmp_path):
+        # the first z has G(z) = 1e-4 and the last S(z) = 1e-4, to the
+        # digits the CSV prints
+        out = tmp_path / "den5.csv"
+        assert main(["density", "--n", "50", "--xi", "0", "--out", str(out)]) == 0
+        z = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+        spec = tg.DensitySpec(n=50, alpha=tg.ConfidenceLevel(0.999), sigma=1.0, xi=0.0)
+        plan = _plan(spec)
+        g = _cdf_from_plan(spec, plan, z[:1])[0]
+        s = _cdf_from_plan(spec, plan, z[-1:], upper=True)[0]
+        assert g == pytest.approx(1e-4, rel=1e-7)
+        assert s == pytest.approx(1e-4, rel=1e-7)
+
     def test_out_of_region_refused(self, capsys):
         assert main(["density", "--n", "30", "--xi", "0.25"]) == 2
         assert "validated region" in capsys.readouterr().err
@@ -343,6 +357,17 @@ class TestCorrectCommand:
 
     def test_missing_inputs(self, capsys):
         assert main(["correct", "--q-hat", "5.0"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--q-hat", "--xi"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_refused(self, tmp_path, capsys, flag, value):
+        # NaN would reach the report as a bare NaN, which is not JSON
+        args = {"--q-hat": "5.0", "--n": "100", "--xi": "0.25", flag: value}
+        out = tmp_path / "corr.json"
+        argv = ["correct", *(f"{k}={v}" for k, v in args.items()), "--out", str(out)]
+        assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigLayering:

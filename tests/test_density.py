@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import tailgauge as tg
-from tailgauge.density import (_REL_TOL, _erfc, _estimator_quantiles, _plan,
-                               _window, evaluation_window)
+from tailgauge.density import (_REL_TOL, _cdf_from_plan, _erfc, _estimator_quantiles,
+                               _plan, _window, evaluation_window)
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -173,8 +173,14 @@ class TestDensity:
 
 class TestCdf:
     def test_limits(self, fig1_spec):
+        # a CDF on the whole line: the mass below the window is kept, and
+        # G(+inf) is the u-rule's mass
         lo, hi = evaluation_window(fig1_spec)
-        assert tg.cdf_of_estimator(fig1_spec, lo - 50.0) == 0.0
+        assert tg.cdf_of_estimator(fig1_spec, -math.inf) == 0.0
+        assert 0.0 < tg.cdf_of_estimator(fig1_spec, lo - 50.0) \
+            <= tg.cdf_of_estimator(fig1_spec, lo) <= 1e-12
+        assert abs(tg.cdf_of_estimator(fig1_spec, math.inf) - 1.0) <= 1e-14
+        assert math.isnan(tg.cdf_of_estimator(fig1_spec, math.nan))
         assert tg.cdf_of_estimator(fig1_spec, hi + 50.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_mean_lies_right_of_median(self, fig1_spec, fig1_stats):
@@ -205,13 +211,21 @@ class TestCdf:
         # a window 8e4 wide around a mode near 30
         (50, 0.5, 0.999, 1.0, (20.0, 60.0, 200.0)),
     ])
-    def test_mass_from_window_edge_matches_oracle(self, n, xi, alpha, sigma, qs):
+    def test_cdf_and_survival_match_oracle_from_infinity(self, n, xi, alpha, sigma, qs):
         spec = _spec(n, xi, alpha=alpha, sigma=sigma)
         lo, _hi = evaluation_window(spec)
+
+        def mass(a, b):
+            return integrate.quad(lambda z: _oracle_density(spec, z), a, b,
+                                  limit=400, epsabs=1e-12, epsrel=1e-11)[0]
+
+        below = mass(-math.inf, lo)
         for q in qs:
-            ref, _ = integrate.quad(lambda z: _oracle_density(spec, z), lo, q,
-                                    limit=400, epsabs=1e-12, epsrel=1e-11)
-            assert abs(tg.cdf_of_estimator(spec, q) - ref) <= 1e-8
+            assert abs(tg.cdf_of_estimator(spec, q) - (below + mass(lo, q))) <= 1e-8
+        plan = _plan(spec)
+        for q in (*qs, _estimator_quantiles(spec, [1 - 1e-4])[0]):
+            s = _cdf_from_plan(spec, plan, np.array([q]), upper=True)[0]
+            assert abs(s - mass(q, math.inf)) <= 1e-8
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(50, 1000), xi=st.floats(0.0, 0.5),
@@ -419,6 +433,34 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
     assert tg.stats(spec).normalization_defect <= 1e-6
     with pytest.raises(AssertionError, match="z-quadrature"):
         tg.stats(spec, method="quadrature")
+
+
+@pytest.mark.parametrize("n, xi, ulps", [(100, 0.25, 0), (50, 0.0, 0), (50, 0.5, 2)])
+def test_quantiles_do_not_follow_the_u_sum_order(monkeypatch, n, xi, ulps):
+    # the upper quantile bisects S, not G near 1, whose ulp of 1 let a
+    # permuted u-rule move it by up to 1.7e-10 at fig-1.  S still carries a
+    # few ulp of rounding, which can move an end of the final bracket by one
+    # double; at (50, 0.5) that shows as 2 ulp of the returned midpoint
+    module = importlib.import_module("tailgauge.density")
+    spec, probs = _spec(n, xi), (1e-4, 1 - 1e-4)
+    plan = _plan(spec)
+    ref = _estimator_quantiles(spec, probs)
+    for seed in range(8):
+        k = np.random.default_rng(seed).permutation(plan.u_nodes.size)
+        permuted = plan._replace(u_nodes=plan.u_nodes[k], u_weights=plan.u_weights[k])
+        monkeypatch.setattr(module, "_plan", lambda _spec, p=permuted: p)
+        got = _estimator_quantiles(spec, probs)
+        assert np.all(np.abs(got - ref) <= ulps * np.spacing(ref)), (seed, got - ref)
+
+
+@pytest.mark.parametrize("p", [1e-4, 1 - 1e-4])
+def test_quantile_outside_the_window_raises(monkeypatch, fig1_spec, p):
+    # a window that misses the quantile is an error, not a window edge
+    module = importlib.import_module("tailgauge.density")
+    monkeypatch.setattr(module, "_window",
+                        lambda spec, plan, moments=True: (plan.q_true, plan.q_true + 1))
+    with pytest.raises(tg.QuadratureError, match="n=100, xi=0.25"):
+        _estimator_quantiles(fig1_spec, (p,))
 
 
 def test_window_covers_mass(fig1_spec, fig1_stats):
