@@ -111,7 +111,9 @@ def fit_bias_law(surface: BiasSurface) -> BiasLawParams:
     xi = np.array([r.xi for r in rows], dtype=float)
     bias = np.array([r.bias for r in rows], dtype=float)
     if np.any(bias <= 0.0):
-        raise ValidationError("all bias values must be positive to fit the law")
+        r = rows[int(np.argmax(bias <= 0.0))]
+        raise ValidationError("all bias values must be positive to fit the law; first "
+                              f"non-positive cell (n={r.n}, xi={r.xi}) has bias {r.bias:.6g}")
     if len(np.unique(n)) < 3 or len(np.unique(xi)) < 3:
         raise ValidationError(
             "rank-deficient design: need >= 3 distinct n and >= 3 distinct xi")

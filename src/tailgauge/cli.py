@@ -20,7 +20,7 @@ import numpy as np
 from .bias import (BiasLawParams, PRACTICAL_ALPHA, PRACTICAL_PARAMS, bias_law,
                    bias_practical, fit_bias_law)
 from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, DensitySpec,
-                      _estimator_quantiles, bias_variance_surface, density)
+                      _estimator_quantiles, _plan, bias_variance_surface, density)
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, quantile
 from .simulate import SimConfig, run
@@ -236,11 +236,10 @@ def cmd_fit(args: argparse.Namespace) -> None:
         b_applied = est.sigma_hat * b_practical
         law_source = "practical_sigma_scaled"
     else:
-        surface = bias_variance_surface(DEFAULT_N_GRID, DEFAULT_XI_GRID,
-                                        alpha, 1.0)
-        law = fit_bias_law(surface)
-        b_applied = est.sigma_hat * bias_law(law, sel.n_hat, est.xi_hat)
-        law_source = "fitted_fresh_surface"
+        plan = _plan(DensitySpec(n=sel.n_hat, alpha=alpha, sigma=est.sigma_hat,
+                                 xi=est.xi_hat, allow_unvalidated=True))
+        b_applied = plan.mean - plan.q_true
+        law_source = "estimator_law"
     q_tilde = q_hat - b_applied
     q_big_tilde = parent_quantile_from_tail_quantile(tf, q_tilde, alpha)
 

@@ -53,12 +53,10 @@ def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def _panel_sums(fvals: np.ndarray, half: np.ndarray):
     """Kronrod value and |K15 - G7| error per panel (and per component)."""
-    if fvals.ndim == 2:     # (P, 15) scalar integrand
-        k = (fvals @ KRONROD_WEIGHTS) * half
-        g = (fvals @ GAUSS_WEIGHTS) * half
-        return k, np.abs(k - g)
-    k = np.einsum("pnk,n->pk", fvals, KRONROD_WEIGHTS) * half[:, None]
-    g = np.einsum("pnk,n->pk", fvals, GAUSS_WEIGHTS) * half[:, None]
+    # half scales the node sums afterwards: as a third einsum operand it
+    # would move the last bits of every u-rule total
+    k = (np.einsum("pn...,n->...p", fvals, KRONROD_WEIGHTS) * half).T
+    g = (np.einsum("pn...,n->...p", fvals, GAUSS_WEIGHTS) * half).T
     return k, np.abs(k - g)
 
 
@@ -87,11 +85,12 @@ def adaptive_rule(f, lo: float, hi: float, rel_tol: float,
             weights = 0.5 * (edges_hi - edges_lo)[:, None] * KRONROD_WEIGHTS[None, :]
             return total, err, panel_nodes(edges_lo, edges_hi).ravel(), weights.ravel()
         if rounds > max_rounds:
-            raise QuadratureError(
-                f"no convergence after {rounds} refinement rounds "
-                f"(err={float(np.max(err / scale)):.2e} > rel_tol={rel_tol})")
+            worst = float(np.max(err / scale))
+            detail = (f"err={worst:.2e} > rel_tol={rel_tol}" if np.isfinite(worst)
+                      else f"the integrand is not finite on [{lo:.6g}, {hi:.6g}]")
+            raise QuadratureError(f"no convergence after {rounds} refinement rounds ({detail})")
         # bisect every panel holding more than its per-panel share of budget
-        norm = (errs / scale).max(axis=-1) if errs.ndim == 2 else errs / scale
+        norm = (errs / scale).reshape(len(errs), -1).max(axis=1)
         bad = norm > rel_tol / len(edges_lo)
         if not bad.any():
             bad[np.argmax(norm)] = True
@@ -120,8 +119,4 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray):
     half = 0.5 * (hi - lo)
     nodes = panel_nodes(lo, hi)
     fv = f(nodes.ravel())
-    if fv.ndim == 1:
-        fv = fv.reshape(nodes.shape)
-    else:
-        fv = fv.reshape(nodes.shape + (fv.shape[-1],))
-    return _panel_sums(fv, half)
+    return _panel_sums(fv.reshape(nodes.shape + fv.shape[1:]), half)

@@ -194,13 +194,62 @@ class TestFitCommand:
         assert main(argv) == 0
         assert json.loads(out.read_text())["bias_law_source"] == "practical_sigma_scaled"
 
-    def test_fresh_law_for_other_alpha(self, big_series, tmp_path):
+    def test_estimator_law_for_other_alpha(self, big_series, tmp_path):
         path, _ = big_series
         out = tmp_path / "fit99.json"
         assert main(["fit", str(path), "--alpha", "0.99", "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
-        assert rep["bias_law_source"] == "fitted_fresh_surface"
+        assert rep["bias_law_source"] == "estimator_law"
         assert rep["alpha"] == 0.99
+        spec = tg.DensitySpec(n=rep["n_hat"], alpha=tg.ConfidenceLevel(0.99),
+                              sigma=rep["sigma_hat"], xi=rep["xi_hat"])
+        assert rep["bias_applied"] == tg.stats(spec).bias
+        assert rep["q_tilde_alpha"] == rep["q_hat_alpha"] - rep["bias_applied"]
+
+    def test_low_alpha(self, big_series, tmp_path):
+        # below alpha 0.953 some default-grid cells have a non-positive bias;
+        # fit reads the law at its fitted spec only
+        path, _ = big_series
+        out = tmp_path / "fit95.json"
+        assert main(["fit", str(path), "--alpha", "0.95", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["bias_law_source"] == "estimator_law"
+        assert np.isfinite(rep["bias_applied"])
+
+    def test_unresolvable_law_exits_3(self, tmp_path, capsys):
+        # n_hat = 10 with xi_hat near 3.8: psi^-2 overflows on the u-range
+        p = tmp_path / "heavy.csv"
+        x = np.random.default_rng(3).pareto(0.15, 100)
+        p.write_text("".join(f"{float(v)!r}\n" for v in x))
+        out = tmp_path / "heavy99.json"
+        assert main(["fit", str(p), "--alpha", "0.99", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["n_hat"] == 10 and rep["xi_hat"] > 3.5
+        capsys.readouterr()
+        assert main(["fit", str(p), "--alpha", "0.9995"]) == 3
+        err = capsys.readouterr().err
+        assert "n=10" in err and "not finite" in err
+
+    @pytest.mark.parametrize("alpha", ["0.999", "0.99"])
+    @pytest.mark.parametrize("draw, warning", [
+        (lambda: 100.0 * np.random.default_rng(4).beta(2, 3, 20000),
+         "xi_hat_outside_validated_region"),    # xi_hat -0.365
+        (lambda: np.random.default_rng(6).pareto(4.0, 400),
+         "n_hat_below_validated_region"),       # n_hat 40
+    ], ids=["bounded_beta", "short_pareto"])
+    def test_region_warnings(self, tmp_path, alpha, draw, warning):
+        p = tmp_path / "s.csv"
+        p.write_text("".join(f"{float(v)!r}\n" for v in draw()))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(p), "--alpha", alpha, "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["warnings"] == [warning]
+        assert np.isfinite(rep["bias_applied"])
+        if alpha == "0.99":     # the law as is, e.g. -0.00237 for the Beta
+            plan = _plan(tg.DensitySpec(
+                n=rep["n_hat"], alpha=tg.ConfidenceLevel(0.99), sigma=rep["sigma_hat"],
+                xi=rep["xi_hat"], allow_unvalidated=True))
+            assert rep["bias_applied"] == plan.mean - plan.q_true
 
     def test_determinism(self, big_series, tmp_path):
         path, _ = big_series
@@ -337,6 +386,11 @@ class TestRegressCommand:
         law = json.loads(out.read_text())
         assert set(law) == {"a1", "a2", "a3"}
         assert law["a1"] < 0 < law["a2"]
+
+    def test_nonpositive_cell_named(self, capsys):
+        # at alpha 0.95, 20 of the 120 default cells have a non-positive bias
+        assert main(["regress", "--alpha", "0.95"]) == 2
+        assert "n=50, xi=0" in capsys.readouterr().err
 
 
 class TestCorrectCommand:

@@ -38,8 +38,23 @@ def _oracle_density(spec, z):
         return p * norm * math.exp(-0.5 * q)
 
     val, _ = integrate.quad(g, xi - 14 * su, xi + 14 * su, limit=300,
-                            epsabs=1e-14, epsrel=1e-11)
+                            epsabs=0.0, epsrel=1e-11)
     return val
+
+
+def _oracle_tail_mass(spec, q):
+    """Independent S(q) for q > 0: the oracle density integrated over
+    [q 2^k, q 2^(k+1)] until a piece no longer moves the sum.  One quad call
+    to +inf loses the heavy tail far out (1e-9 relative at fig-1, q = 500)."""
+    total, a = 0.0, q
+    for _ in range(200):
+        piece = integrate.quad(lambda z: _oracle_density(spec, z), a, 2.0 * a,
+                               limit=400, epsabs=0.0, epsrel=1e-12)[0]
+        total += piece
+        a *= 2.0
+        if piece <= 1e-17 * total:
+            return total
+    raise AssertionError(f"oracle tail mass did not settle beyond q={q}")
 
 
 def _gauss_hermite_moments(spec):
@@ -226,6 +241,16 @@ class TestCdf:
         for q in (*qs, _estimator_quantiles(spec, [1 - 1e-4])[0]):
             s = _cdf_from_plan(spec, plan, np.array([q]), upper=True)[0]
             assert abs(s - mass(q, math.inf)) <= 1e-8
+
+    @pytest.mark.parametrize("n, xi, q", [
+        (100, 0.25, 300.0),     # S = 1.7e-7
+        (100, 0.25, 500.0),     # S = 1.4e-9
+        (50, 0.5, 2e4),         # S = 4.3e-8
+    ])
+    def test_far_tail_survival_matches_split_oracle(self, n, xi, q):
+        spec = _spec(n, xi)
+        s = _cdf_from_plan(spec, _plan(spec), np.array([q]), upper=True)[0]
+        assert s == pytest.approx(_oracle_tail_mass(spec, q), rel=1e-12, abs=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(50, 1000), xi=st.floats(0.0, 0.5),
@@ -513,8 +538,9 @@ def test_unresolvable_u_rule_raises_quadrature_error(n, xi, alpha):
     # MemoryError from an unbounded refinement or a RuntimeWarning
     spec = _spec(n, xi, alpha=alpha, allow_unvalidated=True)
     with pytest.warns(tg.OutsideValidatedRegionWarning):
-        with pytest.raises(tg.QuadratureError, match=f"n={n}, xi={xi}"):
+        with pytest.raises(tg.QuadratureError, match=f"n={n}, xi={xi}") as exc:
             tg.stats(spec)
+    assert "the integrand is not finite on [" in str(exc.value)
 
 
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
