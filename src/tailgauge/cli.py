@@ -304,6 +304,20 @@ def cmd_bias_table(args: argparse.Namespace) -> None:
         args.out)
 
 
+def _linear_quantile(values: np.ndarray, p: float) -> float:
+    """``np.quantile(values, p)`` bit for bit, read off ``np.sort``.
+
+    numpy's default "linear" rule: the virtual index (N-1)*p, interpolated
+    from the far end for a fraction >= 0.5 as numpy's ``_lerp`` does.
+    ``np.quantile`` itself would import ``numpy.ma`` into every cold run.
+    """
+    s = np.sort(values)
+    v = (s.size - 1) * p
+    i = min(math.floor(v), s.size - 1)
+    a, b, t = s[i], s[min(i + 1, s.size - 1)], v - i
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def cmd_simulate(args: argparse.Namespace) -> None:
     if not args.out:
         raise ValidationError("simulate requires --out (JSON report path)")
@@ -341,7 +355,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
 
     # histogram over [min, 99.5% quantile]: extreme fits would otherwise
     # stretch the bins into uselessness
-    hi = float(np.quantile(q, 0.995))
+    hi = _linear_quantile(q, 0.995)
     counts, edges = np.histogram(q, bins=HISTOGRAM_BINS, range=(float(q.min()), hi))
     width = edges[1] - edges[0]
     dens = counts / (counts.sum() * width)

@@ -6,13 +6,16 @@ mean(log1p(theta*x)); clipping that peak to XI_BOX gives the exact
 box-constrained optimum, and the same clip keeps the profile bounded as theta
 approaches the support edge -1/max(x).  The fit maximizes that profile over w,
 where theta*max(x) = expm1(w): w -> -inf is the support edge, w = 0 the
-exponential limit and large w the heavy-tail side.  The best point of a coarse
-w-grid is polished by golden-section search between its neighbours.  Working
-in units of x/max(x) keeps the fit scale-equivariant.
+exponential limit and large w the heavy-tail side.  The profile can have
+more than one peak, so every local maximum of a 16-point w-grid is polished
+between its neighbours by Brent's method (parabolic steps with a
+golden-section fallback, Brent 1973), and the best polished point wins.
+Working in units of x/max(x) keeps the fit scale-equivariant.
 
 The search runs row-wise over an (R, n) block of samples (``fit_batch``):
-each row keeps its own grid, bracket and stopping test, every step is one
-(R, n) pass, and ``fit`` is the one-row case.
+each row keeps its own grid, and each of its peaks its own bracket and
+stopping test; every step is one pass over the block, and ``fit`` is the
+one-row case.
 """
 
 from __future__ import annotations
@@ -30,12 +33,20 @@ _log = logging.getLogger("tailgauge")
 
 # search box for the shape parameter; the asymptotic theory needs xi > -0.5
 XI_BOX = (-0.49, 5.0)
-# points of the coarse search grid in w, and the golden-section tolerance in w
-_N_GRID = 64
-_W_TOL = 1e-9
+# points of the coarse search grid in w.  Every local maximum of the grid is
+# polished, so the grid only has to separate the profile's peaks.  Against
+# the same search on 256 points, over 4001 seeded datasets (n log-uniform on
+# [3, 2e4], xi uniform on [-0.48, 5]) and the two-peak dataset of the tests,
+# grids of 8, 12, 16 and 24 points missed no maximum; 6 points missed the
+# two-peak one.
+_N_GRID = 16
+# stopping tolerance of the polish in w, sqrt(eps): near a maximum the profile
+# changes by O(dw^2), so a finer w cannot be resolved from its values
+_W_TOL = math.sqrt(np.finfo(float).eps)
 # upper end of the w-bracket when the data do not bound it; expm1 stays finite
 _W_MAX = 700.0
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the golden-section fraction (3 - sqrt(5))/2 of Brent's fallback step
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,70 @@ def _check_rows(x: np.ndarray) -> None:
             raise ValidationError(what + where)
 
 
+def _polish(y: np.ndarray, a, b, fa, fb, x, fx):
+    """Brent's maximization of each row's profile inside its bracket [a, b].
+
+    Row c of ``y`` starts from its best point ``x`` (value ``fx``) between
+    the evaluated ends ``a`` and ``b`` (values ``fa`` and ``fb``).  Each round
+    takes a parabolic step through the three best points seen, or a
+    golden-section step into the larger side of the bracket where the
+    parabola is not trusted (Brent 1973, ch. 5), and stops once the bracket
+    around x is within _W_TOL.  Every round is one pass over the live rows.
+    Returns the best point, its value, the final bracket and the number of
+    rounds.
+    """
+    out = [np.empty_like(a) for _ in range(4)]
+    live = np.arange(a.size)
+    # the ends are the second and third best points, and a last step of half
+    # the bracket lets the first steps be parabolic
+    w, fw, v, fv = a, fa, b, fb
+    d = e = 0.5 * (b - a)
+    rounds = 0
+    while True:
+        done = np.abs(x - 0.5 * (a + b)) <= 2.0 * _W_TOL - 0.5 * (b - a)
+        if done.any():
+            for o, val in zip(out, (x, fx, a, b)):
+                o[live[done]] = val[done]
+            keep = ~done
+            live, y, a, b, x, fx, w, fw, v, fv, d, e = (
+                t[keep] for t in (live, y, a, b, x, fx, w, fw, v, fv, d, e))
+            if not live.size:
+                return (*out, rounds)
+        rounds += 1
+        mid = 0.5 * (a + b)
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        # the parabola's vertex, if it lies inside the bracket and moves less
+        # than half the step before last
+        para = ((np.abs(e) > _W_TOL) & (np.abs(p) < np.abs(0.5 * q * e))
+                & (p > q * (a - x)) & (p < q * (b - x)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p / q
+        u = x + step
+        near_end = (u - a < 2.0 * _W_TOL) | (b - u < 2.0 * _W_TOL)
+        gold = np.where(x >= mid, a - x, b - x)
+        e = np.where(para, d, gold)
+        d = np.where(para, np.where(near_end, np.copysign(_W_TOL, mid - x), step),
+                     _CGOLD * gold)
+        u = x + np.where(np.abs(d) >= _W_TOL, d, np.copysign(_W_TOL, d))
+        fu = _profile(u, y)[0]
+        up = fu >= fx
+        a = np.where(up, np.where(u >= x, x, a), np.where(u < x, u, a))
+        b = np.where(up, np.where(u >= x, b, x), np.where(u < x, b, u))
+        # x, w and v stay the best, second and third points seen
+        to_w = ~up & ((fu >= fw) | (w == x))
+        to_v = ~up & ~to_w & ((fu >= fv) | (v == x) | (v == w))
+        v = np.where(up | to_w, w, np.where(to_v, u, v))
+        fv = np.where(up | to_w, fw, np.where(to_v, fu, fv))
+        w = np.where(up, x, np.where(to_w, u, w))
+        fw = np.where(up, fx, np.where(to_w, fu, fw))
+        x, fx = np.where(up, u, x), np.where(up, fu, fx)
+
+
 def fit_batch(data) -> MleBatch:
     """Maximize the GPD likelihood of each row of an (R, n) block on its own.
 
@@ -155,57 +230,45 @@ def fit_batch(data) -> MleBatch:
     # at the support edge alone makes it increase.  Once theta*y >= 10 for
     # all but n/12 points it decreases, because 1 + 1/xi >= 1.2 in the box.
     j = n // 12
-    y_j = np.partition(y, j, axis=1)[:, j]
+    # a copy: a view would keep the whole partitioned block alive
+    y_j = np.partition(y, j, axis=1)[:, j].copy()
     with np.errstate(divide="ignore"):
         w_hi = np.where(y_j > 0.0, np.minimum(np.log1p(10.0 / y_j), _W_MAX), _W_MAX)
     grid = np.linspace(np.full(rows, -math.log1p(n)), w_hi, _N_GRID, axis=1)
-    # the grid one point at a time: an (R, n) pass each, no (R, 64, n) block
-    best = np.full(rows, -np.inf)
-    i = np.zeros(rows, dtype=int)
+    # the grid one point at a time: an (R, n) pass each, no (R, G, n) block
+    val = np.empty((rows, _N_GRID))
     for k in range(_N_GRID):
-        val = _profile(grid[:, k], y)[0]
-        up = val > best
-        best[up], i[up] = val[up], k
+        val[:, k] = _profile(grid[:, k], y)[0]
 
-    # golden-section search between each row's best grid point's neighbours
-    a = grid[np.arange(rows), np.maximum(i - 1, 0)]
-    b = grid[np.arange(rows), np.minimum(i + 1, _N_GRID - 1)]
-    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    fc, fd = _profile(c, y)[0], _profile(d, y)[0]
-    w, f = np.empty(rows), np.empty(rows)
-    live, y_live = np.arange(rows), y
-    rounds = 0
-    while True:
-        done = ~(b - a > _W_TOL)
-        if done.any():
-            take_c = fc >= fd
-            w[live[done]] = np.where(take_c, c, d)[done]
-            f[live[done]] = np.where(take_c, fc, fd)[done]
-            live, y_live, a, b, c, d, fc, fd = (
-                v[~done] for v in (live, y_live, a, b, c, d, fc, fd))
-            if not live.size:
-                break
-        # each live row keeps the better half of its bracket and evaluates
-        # one new point there
-        rounds += 1
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        h = _INV_PHI * (b - a)
-        w_new = np.where(left, b - h, a + h)
-        f_new = _profile(w_new, y_live)[0]
-        c, d = np.where(left, w_new, d), np.where(left, c, w_new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-
-    on_grid = best > f
-    w[on_grid] = grid[on_grid, i[on_grid]]
+    # every local maximum of the grid is a candidate, ends included; each is
+    # polished between its neighbours and the best one wins its row
+    peak = np.isfinite(val)
+    peak[:, 1:] &= val[:, 1:] > val[:, :-1]
+    peak[:, :-1] &= val[:, :-1] >= val[:, 1:]
+    cand_r, cand_k = np.nonzero(peak)
+    peaks = np.bincount(cand_r, minlength=rows)
+    lo = (cand_r, np.maximum(cand_k - 1, 0))
+    hi = (cand_r, np.minimum(cand_k + 1, _N_GRID - 1))
+    at = (cand_r, cand_k)
+    # a row with several peaks is polished once per peak, on gathered copies
+    w, f, a, b, rounds = _polish(
+        y if (peaks == 1).all() else y[cand_r], grid[lo], grid[hi], val[lo], val[hi],
+        grid[at], val[at])
+    # per row the candidate of largest value, the first one on ties
+    order = np.lexsort((-f, cand_r))
+    pick = order[np.r_[True, cand_r[order[1:]] != cand_r[order[:-1]]]]
+    w, a, b = w[pick], a[pick], b[pick]
     xi = _profile(w, y)[1]
     theta = np.expm1(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(theta != 0.0, scale * xi / theta, x.mean(axis=1))
-    converged = (grid[:, 0] + _W_TOL < w) & (w < grid[:, -1] - _W_TOL)
+    # a maximizer whose final bracket still touches an end of the grid is
+    # the bracket's edge, not a stationary point
+    converged = (a > grid[:, 0]) & (b < grid[:, -1])
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("mle fit_batch: %d rows of n=%d, %d golden-section rounds, "
-                   "%d box-edge hits, %d not converged", rows, n, rounds,
+        _log.debug("mle fit_batch: %d rows of n=%d, %d polish rounds, "
+                   "%d rows with several grid peaks, %d box-edge hits, "
+                   "%d not converged", rows, n, rounds, int((peaks > 1).sum()),
                    int(np.isin(xi, XI_BOX).sum()), int((~converged).sum()))
     return MleBatch(xi_hat=xi, sigma_hat=sigma, log_likelihood=_loglik(xi, sigma, x),
                     converged=converged)

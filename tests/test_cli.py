@@ -377,6 +377,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--n", "50", "--xi", "0.25",
                      "--replications", "150"]) == 2
 
+    def test_histogram_edge_is_numpy_quantile(self):
+        # the edge is read off np.sort: bitwise np.quantile's "linear" rule
+        rng = np.random.default_rng(8)
+        for size in rng.integers(1, 2001, 300):
+            x = rng.standard_t(3, size) * 10.0 ** rng.uniform(-3, 3)
+            for p in (0.995, float(rng.uniform()), 0.5, 1.0):
+                assert cli._linear_quantile(x, p) == float(np.quantile(x, p))
+
 
 class TestRegressCommand:
     def test_three_field_record(self, tmp_path):

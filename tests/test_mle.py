@@ -1,5 +1,6 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailgauge as tg
+from tailgauge import mle
 from tailgauge.mle import XI_BOX, _loglik, fit_batch
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -188,7 +190,42 @@ class TestFitBatch:
         (msg,) = [r.getMessage() for r in caplog.records if r.name == "tailgauge"]
         hits = int(np.isin(batch.xi_hat, XI_BOX).sum())
         assert "4 rows of n=50" in msg and f"{hits} box-edge hits" in msg
-        assert int(msg.split(" golden-section rounds")[0].split()[-1]) > 10
+        assert int(msg.split(" polish rounds")[0].split()[-1]) > 10
+
+    def test_debug_log_counts_rows_with_several_peaks(self, caplog):
+        x = np.stack([_TWO_PEAKS, [1.0, 2.0, 3.0]])
+        with caplog.at_level(logging.DEBUG, logger="tailgauge"):
+            fit_batch(x)
+        (msg,) = [r.getMessage() for r in caplog.records if r.name == "tailgauge"]
+        assert "1 rows with several grid peaks" in msg
+
+
+# the profile in w has two local maxima: at w = -1.30 (xi clipped to -0.49)
+# it scores -7.918392, and at w = 0.357 it scores -7.919049
+_TWO_PEAKS = [2.901517771877076, 0.21520959713528698, 12.35669058300313]
+
+
+class TestGlobalMaximum:
+    def test_best_of_two_peaks(self):
+        est = tg.fit(_TWO_PEAKS)
+        assert est.xi_hat == XI_BOX[0]
+        assert est.log_likelihood >= -7.918392
+        # the same row among others in a batch
+        batch = fit_batch(np.stack([np.array([1.0, 2.0, 3.0]), _TWO_PEAKS]))
+        assert batch.xi_hat[1] == XI_BOX[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), log_n=st.floats(math.log(3), math.log(2e4)),
+           xi=st.floats(-0.48, 5.0))
+    def test_never_below_a_256_point_grid(self, seed, log_n, xi):
+        # the same search on a 256-point grid finds every peak a dense grid
+        # can separate; the 16-point grid must score no lower
+        x = _gpd_sample(seed, round(math.exp(log_n)), xi)
+        est = tg.fit(x)
+        with mock.patch.object(mle, "_N_GRID", 256):
+            dense = tg.fit(x)
+        assert est.log_likelihood >= dense.log_likelihood - 1e-12 * abs(
+            dense.log_likelihood)
 
 
 def _gpd_sample(seed, n, xi):

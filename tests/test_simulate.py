@@ -12,6 +12,12 @@ from tailgauge.simulate import _kolmogorov_sf
 A999 = tg.ConfidenceLevel(0.999)
 
 
+def _philox(seed, replication):
+    """A fresh generator on replication r's stream: Philox keyed by (seed, r)."""
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, replication], dtype=np.uint64)))
+
+
 def _config(**kw):
     base = dict(n=50, replications=150, params=tg.GpdParams(1.0, 0.25),
                 alpha=A999, seed=99)
@@ -57,7 +63,7 @@ class TestReproducibility:
         cfg = _config()
         rep = tg.run(cfg)
         for r in (0, 77, 149):
-            est = tg.fit(tg.sample(cfg.params, simulate._stream(cfg.seed, r), cfg.n))
+            est = tg.fit(tg.sample(cfg.params, _philox(cfg.seed, r), cfg.n))
             assert est.converged
             q = tg.quantile(tg.GpdParams(est.sigma_hat, est.xi_hat), cfg.alpha)
             assert q == pytest.approx(rep.q_hat_samples[r], rel=1e-15)
@@ -79,12 +85,35 @@ class TestReproducibility:
         x = np.concatenate(blocks)
         for r in range(cfg.replications):
             np.testing.assert_array_equal(
-                x[r], tg.sample(cfg.params, simulate._stream(cfg.seed, r), cfg.n))
+                x[r], tg.sample(cfg.params, _philox(cfg.seed, r), cfg.n))
 
-    def test_streams_differ_per_replication(self):
-        g0 = simulate._stream(5, 0).random(4)
-        g1 = simulate._stream(5, 1).random(4)
-        assert not np.array_equal(g0, g1)
+    @pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
+    def test_block_rows_are_fresh_philox_streams(self, monkeypatch, seed):
+        # the re-keyed generator's uniforms are Philox(key=[seed, r])'s, at
+        # the first and last row and on both sides of each block boundary
+        cfg = _config(seed=seed)
+        u = _drawn_uniforms(monkeypatch, cfg, block_rows=64)
+        for r in (0, 63, 64, 127, 128, cfg.replications - 1):
+            np.testing.assert_array_equal(u[r], _philox(seed, r).random(cfg.n))
+
+    def test_streams_differ_per_replication(self, monkeypatch):
+        u = _drawn_uniforms(monkeypatch, _config(seed=5))
+        assert len({row.tobytes() for row in u}) == u.shape[0]
+
+
+def _drawn_uniforms(monkeypatch, cfg, block_rows=None):
+    """The uniforms ``_replicate`` draws for ``cfg``, one row per replication."""
+    real, uniforms = simulate._from_uniform, []
+
+    def recording(params, u):
+        uniforms.append(u.copy())
+        return real(params, u)
+
+    monkeypatch.setattr(simulate, "_from_uniform", recording)
+    if block_rows is not None:
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", block_rows * cfg.n)
+    simulate._replicate(cfg)
+    return np.concatenate(uniforms)
 
 
 class TestKsTest:
