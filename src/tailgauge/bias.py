@@ -68,8 +68,8 @@ def bias_law(params: BiasLawParams, n: int, xi: float) -> float:
 
     Raises NumericalError when the value overflows a double.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    if not (math.isfinite(n) and n >= 1):
+        raise ValidationError(f"n must be a finite number >= 1, got {n}")
     if not math.isfinite(xi):
         raise ValidationError(f"xi must be finite, got {xi}")
     try:

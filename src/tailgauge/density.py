@@ -2,12 +2,11 @@
 
 The sampling law of the plug-in tail quantile at sample size ``n`` is
 approximated by pushing the limiting bivariate normal of the parameter
-estimators ``(u, v) = (xi_hat, sigma_hat)`` through the quantile map
-``z = v / psi(u)``, with ``psi(u) = u / ((1-alpha)**(-u) - 1) > 0``.  Here
-``u`` is normal with mean ``xi`` and sd ``(1+xi)/sqrt(n)``; given ``u``, ``v``
-is normal with mean ``m(u) = sigma - sigma (u-xi)/(1+xi)`` and sd
-``s = sigma sqrt((1+2 xi)/n)``.  Every output is an expectation over ``u`` of
-that conditional normal:
+estimators ``(u, v) = (xi_hat, sigma_hat)``, the one ``mle.asymptotic_covariance``
+states, through the quantile map ``z = v / psi(u)``, with
+``psi(u) = u / ((1-alpha)**(-u) - 1) > 0``.  Given ``u``, ``v`` is normal with
+the conditional mean ``m(u)`` and sd ``s`` of that law.  Every output is an
+expectation over ``u`` of that conditional normal:
 
     density    f(z) = E_u psi(u) phi((z psi(u) - m(u))/s) / s
     CDF        G(z) = E_u Phi((z psi(u) - m(u))/s)
@@ -45,6 +44,7 @@ import numpy as np
 from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
+from .mle import AsymptoticCovariance, asymptotic_covariance
 from .quadrature import adaptive_rule, integrate_adaptive
 
 # relative accuracy of the u-rule, the z-windows and the z-quadrature, and the
@@ -63,11 +63,11 @@ _MAX_REFINEMENTS = 20
 # 0.092, 4K 0.171.  Cold in a fresh process, as in the CLI, median
 # [quartiles] of 20: 64K 0.102 s [0.079-0.137], 32K 0.084 s [0.073-0.090].
 _WORKSPACE = 32_768
-# the u-rule spans xi - 10 sd_u to 10 sd_u above the peak of the second-moment
-# integrand, which psi^-2 ~ exp(2 t u) shifts 2 t sd_u^2 above xi
+# the u-rule spans mu_u - 10 sd_u (u's mean and sd) to 10 sd_u above the peak of
+# the second-moment integrand, which psi^-2 ~ exp(2 t u) shifts 2 t sd_u^2 up
 _U_HALFWIDTH_SDS = 10.0
 # the u-rule also resolves the density at the images m(u)/psi(u) of the
-# u-quantiles xi + k sd_u, which follow the skewed law from its mode out to
+# u-quantiles mu_u + k sd_u, which follow the skewed law from its mode out to
 # both tails; probes spaced by the estimator's sd around q_true leave the
 # rule unrefined below the mode at (n, xi) = (50, 0.5)
 _PROBE_SDS = np.array([-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0])
@@ -117,7 +117,7 @@ class DensitySpec:
     allow_unvalidated: bool = False
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not (math.isfinite(self.n) and self.n == int(self.n) >= 1):
             raise ValidationError(f"n must be a positive integer, got {self.n}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValidationError(f"sigma must be positive, got {self.sigma}")
@@ -190,6 +190,7 @@ def _times_gauss(y: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 class _Plan(NamedTuple):
     t: float
+    law: AsymptoticCovariance
     q_true: float
     mean: float
     var: float
@@ -205,22 +206,21 @@ def _warn_if_unvalidated(spec: DensitySpec) -> None:
             OutsideValidatedRegionWarning, stacklevel=3)
 
 
-def _conditional_law(spec: DensitySpec, t: float, u: np.ndarray):
-    """The law of (u, v) at the nodes ``u``: the normal density g of u,
-    psi(u), and the mean m(u) and sd s of v given u."""
-    xi, sigma = spec.xi, spec.sigma
-    du = u - xi
-    sd_u = (1.0 + xi) / math.sqrt(spec.n)
+def _conditional_law(law: AsymptoticCovariance, t: float, u: np.ndarray):
+    """The normal ``law`` of (u, v) at the nodes ``u``: the density g of u,
+    psi(u), and the mean m(u) and sd s of the normal of v given u."""
+    (mu_u, mu_v), ((c00, c01), (_c10, c11)) = law.mean_vector, law.cov_matrix.tolist()
+    du, sd_u = u - mu_u, math.sqrt(c00)
     g = np.exp(-0.5 * (du / sd_u) ** 2) / (sd_u * math.sqrt(2.0 * math.pi))
-    m = sigma - sigma * du / (1.0 + xi)
-    s = sigma * math.sqrt((1.0 + 2.0 * xi) / spec.n)
+    m = mu_v + (c01 / c00) * du
+    s = math.sqrt(c11 - c01 * c01 / c00)
     return g, 1.0 / _scaled_expm1(u, t), m, s
 
 
-def _integrand_matrix(law, z: np.ndarray):
+def _integrand_matrix(cond, z: np.ndarray):
     """``g psi phi((z psi - m)/s)/s`` on the (u, z) grid: the density's
     integrand, whose weighted u-sum is f(z)."""
-    g, pu, m, s = law
+    g, pu, m, s = cond
     x = (pu / s)[:, None] * z[None, :] - (m / s)[:, None]
     return (g * pu / (s * math.sqrt(2.0 * math.pi)))[:, None] * np.exp(-0.5 * x * x)
 
@@ -237,28 +237,28 @@ def _u_sum(weights: np.ndarray, z: np.ndarray, matrix) -> np.ndarray:
     return out
 
 
-def _density_from_plan(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
-    law = _conditional_law(spec, plan.t, plan.u_nodes)
-    return _u_sum(plan.u_weights, z, lambda zz: _integrand_matrix(law, zz))
+def _density_from_plan(plan: _Plan, z: np.ndarray) -> np.ndarray:
+    cond = _conditional_law(plan.law, plan.t, plan.u_nodes)
+    return _u_sum(plan.u_weights, z, lambda zz: _integrand_matrix(cond, zz))
 
 
-def _cdf_from_plan(spec: DensitySpec, plan: _Plan, q, upper=False) -> np.ndarray:
+def _cdf_from_plan(plan: _Plan, q, upper=False) -> np.ndarray:
     """``G(q)``, or with ``upper`` ``S(q)``, on the plan's u-rule, with
     ``Phi(x) = erfc(-x/sqrt(2))/2``; S keeps its relative precision where G is 1."""
-    g, pu, m, s = _conditional_law(spec, plan.t, plan.u_nodes)
+    g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
     a, b = (pu / (math.sqrt(2.0) * s))[:, None], (m / (math.sqrt(2.0) * s))[:, None]
     a, b = (-a, -b) if upper else (a, b)
     return _u_sum(0.5 * plan.u_weights * g, q, lambda qq: _erfc(b - a * qq[None, :]))
 
 
-def _moment_parts(spec: DensitySpec, plan: _Plan, z: np.ndarray) -> np.ndarray:
+def _moment_parts(plan: _Plan, z: np.ndarray) -> np.ndarray:
     """The moment integrands (f, z f, z^2 f), one row per point of ``z``."""
-    fz = _density_from_plan(spec, plan, z)
+    fz = _density_from_plan(plan, z)
     return np.stack([fz, z * fz, z * z * fz], axis=-1)
 
 
 def _plan(spec: DensitySpec) -> _Plan:
-    """The spec's u-rule and moments from one adaptive Kronrod call.
+    """The spec's limiting law, its u-rule and moments from one adaptive Kronrod call.
 
     Over the truncated u-range the rule resolves, each to relative
     ``_REL_TOL``, the mass of u, the moment integrands ``g m/psi`` and
@@ -266,19 +266,19 @@ def _plan(spec: DensitySpec) -> _Plan:
     overflows the rule cannot resolve, and the QuadratureError names the spec.
     """
     t = -math.log1p(-spec.alpha.alpha)
-    q = quantile(GpdParams(spec.sigma, spec.xi), spec.alpha)
-    sd_u = (1.0 + spec.xi) / math.sqrt(spec.n)
-    lo = spec.xi - _U_HALFWIDTH_SDS * sd_u
-    hi = spec.xi + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
+    params = GpdParams(spec.sigma, spec.xi)
+    law = asymptotic_covariance(params, spec.n)
+    mu_u, sd_u = law.mean_vector[0], math.sqrt(law.cov_matrix[0, 0])
+    lo = mu_u - _U_HALFWIDTH_SDS * sd_u
+    hi = mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _g, psi_k, m_k, _s = _conditional_law(spec, t, spec.xi + _PROBE_SDS * sd_u)
+        _g, psi_k, m_k, _s = _conditional_law(law, t, mu_u + _PROBE_SDS * sd_u)
         probes = m_k / psi_k
 
         def integrands(u):
-            law = _conditional_law(spec, t, u)
-            g, pu, m, s = law
+            g, pu, m, s = cond = _conditional_law(law, t, u)
             return np.column_stack([g, g * m / pu, g * (m * m + s * s) / (pu * pu),
-                                    _integrand_matrix(law, probes)])
+                                    _integrand_matrix(cond, probes)])
 
         try:
             totals, _err, nodes, weights = adaptive_rule(
@@ -287,7 +287,8 @@ def _plan(spec: DensitySpec) -> _Plan:
             raise QuadratureError(
                 f"u-rule failed at (n={spec.n}, xi={spec.xi}): {exc}") from exc
     mean = float(totals[1])
-    return _Plan(t, q, mean, float(totals[2]) - mean * mean, nodes, weights)
+    return _Plan(t, law, quantile(params, spec.alpha), mean,
+                 float(totals[2]) - mean * mean, nodes, weights)
 
 
 def _window(spec: DensitySpec, plan: _Plan,
@@ -307,7 +308,7 @@ def _window(spec: DensitySpec, plan: _Plan,
     totals = [1.0, abs(plan.mean), plan.var + plan.mean ** 2][:3 if moments else 1]
     budget = _REL_TOL * np.maximum(totals, 1e-300)
     for _ in range(_MAX_REFINEMENTS + 1):
-        parts = np.abs(_moment_parts(spec, plan, np.array([lo, hi])))
+        parts = np.abs(_moment_parts(plan, np.array([lo, hi])))
         contrib = parts[:, :len(totals)] * (hi - lo)
         grow_lo = bool(np.any(contrib[0] >= budget))
         grow_hi = bool(np.any(contrib[1] >= budget))
@@ -338,8 +339,8 @@ def _estimator_quantiles(spec: DensitySpec, probs) -> np.ndarray:
     upper, target = p > 0.5, np.where(p > 0.5, 1.0 - p, p)
 
     def short(q):   # True where q lies below the quantile
-        return np.where(upper, _cdf_from_plan(spec, plan, q, upper=True) > target,
-                        _cdf_from_plan(spec, plan, q) < target)
+        return np.where(upper, _cdf_from_plan(plan, q, upper=True) > target,
+                        _cdf_from_plan(plan, q) < target)
     a, b = (np.full(p.shape, e) for e in _window(spec, plan, moments=False))
     if np.any(~short(a) | short(b)):
         raise QuadratureError(
@@ -357,7 +358,7 @@ def density(spec: DensitySpec, z):
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
     arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = _density_from_plan(spec, plan, arr)
+    out = _density_from_plan(plan, arr)
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -366,7 +367,7 @@ def cdf_of_estimator(spec: DensitySpec, q):
     ``G(q)`` on the whole line, 0 at -inf, the u-rule's mass (1 to about
     1e-14) at +inf, NaN at NaN."""
     _warn_if_unvalidated(spec)
-    out = _cdf_from_plan(spec, _plan(spec), np.atleast_1d(np.asarray(q, dtype=float)))
+    out = _cdf_from_plan(_plan(spec), np.atleast_1d(np.asarray(q, dtype=float)))
     return float(out[0]) if np.ndim(q) == 0 else out
 
 
@@ -388,13 +389,12 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
     if method == "hermite":
-        g_lo, g_hi = _cdf_from_plan(
-            spec, plan, np.array(_window(spec, plan, moments=False)))
+        g_lo, g_hi = _cdf_from_plan(plan, np.array(_window(spec, plan, moments=False)))
         mass = g_hi - g_lo
         mean, var = plan.mean, plan.var
     else:
         totals, _err = integrate_adaptive(
-            lambda zz: _moment_parts(spec, plan, zz), *_window(spec, plan),
+            lambda zz: _moment_parts(plan, zz), *_window(spec, plan),
             rel_tol=_REL_TOL, max_rounds=_MAX_REFINEMENTS)
         mass, i1, i2 = (float(v) for v in totals)
         mean, var = i1, i2 - i1 * i1

@@ -301,11 +301,11 @@ def asymptotic_covariance(p: GpdParams, n: int) -> AsymptoticCovariance:
     """Mean vector and covariance of the limiting normal law of the estimators.
 
     cov = ((1 + xi)/n) * [[1 + xi, -sigma], [-sigma, 2*sigma^2]], valid for
-    xi > -0.5.
+    xi > -0.5; the estimator law in ``density`` reads its normal from here.
     """
     if p.xi <= -0.5:
         raise ValidationError(f"asymptotic covariance requires xi > -0.5, got {p.xi}")
-    if n < 1:
+    if not (math.isfinite(n) and n == int(n) >= 1):
         raise ValidationError(f"n must be a positive integer, got {n}")
     c = (1.0 + p.xi) / n
     cov = c * np.array([[1.0 + p.xi, -p.sigma], [-p.sigma, 2.0 * p.sigma**2]])

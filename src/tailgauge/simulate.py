@@ -46,12 +46,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError(f"n must be >= 2, got {self.n}")
-        if self.replications < MIN_REPLICATIONS:
-            raise ValidationError(
-                f"need >= {MIN_REPLICATIONS} replications, got {self.replications}")
-        if not 0 <= self.seed < 2**64:
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValidationError(f"n must be an integer >= 2, got {self.n}")
+        r = self.replications
+        if not (isinstance(r, (int, np.integer)) and r >= MIN_REPLICATIONS):
+            raise ValidationError(f"need >= {MIN_REPLICATIONS} replications, got {r}")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValidationError("seed must fit an unsigned 64-bit integer")
 
 

@@ -311,8 +311,8 @@ class TestDensityCommand:
         z = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         spec = tg.DensitySpec(n=50, alpha=tg.ConfidenceLevel(0.999), sigma=1.0, xi=0.0)
         plan = _plan(spec)
-        g = _cdf_from_plan(spec, plan, z[:1])[0]
-        s = _cdf_from_plan(spec, plan, z[-1:], upper=True)[0]
+        g = _cdf_from_plan(plan, z[:1])[0]
+        s = _cdf_from_plan(plan, z[-1:], upper=True)[0]
         assert g == pytest.approx(1e-4, rel=1e-7)
         assert s == pytest.approx(1e-4, rel=1e-7)
 

@@ -111,6 +111,11 @@ class TestSpecValidation:
         with pytest.raises(tg.ValidationError):
             _spec(100, -0.6, allow_unvalidated=True)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 100.5, 0])
+    def test_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(tg.ValidationError, match="positive integer"):
+            _spec(n, 0.25, allow_unvalidated=True)
+
 
 class TestPsi:
     def test_removable_singularity(self):
@@ -239,7 +244,7 @@ class TestCdf:
             assert abs(tg.cdf_of_estimator(spec, q) - (below + mass(lo, q))) <= 1e-8
         plan = _plan(spec)
         for q in (*qs, _estimator_quantiles(spec, [1 - 1e-4])[0]):
-            s = _cdf_from_plan(spec, plan, np.array([q]), upper=True)[0]
+            s = _cdf_from_plan(plan, np.array([q]), upper=True)[0]
             assert abs(s - mass(q, math.inf)) <= 1e-8
 
     @pytest.mark.parametrize("n, xi, q", [
@@ -249,7 +254,7 @@ class TestCdf:
     ])
     def test_far_tail_survival_matches_split_oracle(self, n, xi, q):
         spec = _spec(n, xi)
-        s = _cdf_from_plan(spec, _plan(spec), np.array([q]), upper=True)[0]
+        s = _cdf_from_plan(_plan(spec), np.array([q]), upper=True)[0]
         assert s == pytest.approx(_oracle_tail_mass(spec, q), rel=1e-12, abs=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -476,6 +481,21 @@ def test_quantiles_do_not_follow_the_u_sum_order(monkeypatch, n, xi, ulps):
         monkeypatch.setattr(module, "_plan", lambda _spec, p=permuted: p)
         got = _estimator_quantiles(spec, probs)
         assert np.all(np.abs(got - ref) <= ulps * np.spacing(ref)), (seed, got - ref)
+
+
+def test_estimator_law_reads_asymptotic_covariance_alone(monkeypatch):
+    # the limiting normal law has one statement: hand (400, 0.25) the n = 100
+    # law and every output is the (100, 0.25) one, bit for bit
+    module = importlib.import_module("tailgauge.density")
+    small, large = _spec(100, 0.25), _spec(400, 0.25)
+    z = np.linspace(*evaluation_window(small), 257)
+    ref = (tg.stats(small), tg.cdf_of_estimator(small, z), tg.density(small, z))
+    law = tg.asymptotic_covariance(tg.GpdParams(1.0, 0.25), 100)
+    monkeypatch.setattr(module, "asymptotic_covariance", lambda _p, _n: law)
+    got = (tg.stats(large), tg.cdf_of_estimator(large, z), tg.density(large, z))
+    assert got[0] == ref[0]
+    np.testing.assert_array_equal(got[1], ref[1])
+    np.testing.assert_array_equal(got[2], ref[2])
 
 
 @pytest.mark.parametrize("p", [1e-4, 1 - 1e-4])

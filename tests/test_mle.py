@@ -295,6 +295,12 @@ class TestAsymptoticCovariance:
         with pytest.raises(tg.ValidationError):
             tg.asymptotic_covariance(tg.GpdParams(1.0, -0.5), 10)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 0, 10.5])
+    def test_size_must_be_a_positive_integer(self, n):
+        # NaN used to pass the n < 1 test and return an all-NaN matrix
+        with pytest.raises(tg.ValidationError, match="positive integer"):
+            tg.asymptotic_covariance(tg.GpdParams(1.0, 0.25), n)
+
     @pytest.mark.parametrize("xi", [-0.4, -0.2, 0.0, 0.25, 0.5, 1.0])
     def test_determinant_identity(self, xi):
         sigma, n = 1.3, 77

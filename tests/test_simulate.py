@@ -30,11 +30,23 @@ class TestConfigValidation:
         with pytest.raises(tg.ValidationError):
             _config(replications=99)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", 100.5), ("n", 100.0), ("n", math.nan), ("n", math.inf), ("n", 1),
+        ("replications", 200.5), ("replications", 200.0), ("replications", math.nan),
+        ("replications", math.inf),
+    ])
+    def test_sizes_must_be_integers(self, field, value):
+        # all but n = 1 used to pass and make run() fail with a TypeError in np.empty
+        with pytest.raises(tg.ValidationError, match=field):
+            _config(**{field: value})
+
     def test_seed_range(self):
         with pytest.raises(tg.ValidationError):
             _config(seed=-1)
         with pytest.raises(tg.ValidationError):
             _config(seed=2**64)
+        with pytest.raises(tg.ValidationError):   # used to run as seed 1
+            _config(seed=1.5)
 
 
 class TestReproducibility:
