@@ -20,7 +20,8 @@ import numpy as np
 from .bias import (BiasLawParams, PRACTICAL_ALPHA, PRACTICAL_PARAMS, bias_law,
                    bias_practical, fit_bias_law)
 from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, DensitySpec,
-                      _estimator_quantiles, _plan, bias_variance_surface, density)
+                      _density_from_plan, _estimator_quantiles, _plan,
+                      _warn_if_unvalidated, bias_variance_surface)
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, quantile
 from .simulate import SimConfig, run
@@ -278,9 +279,11 @@ def _spec_from_args(args: argparse.Namespace) -> DensitySpec:
 
 def cmd_density(args: argparse.Namespace) -> None:
     spec = _spec_from_args(args)
-    lo, hi = _estimator_quantiles(spec, DENSITY_GRID_PROBS)
+    plan = _plan(spec)
+    _warn_if_unvalidated(spec)
+    lo, hi = _estimator_quantiles(plan, DENSITY_GRID_PROBS)
     z = np.linspace(lo, hi, DENSITY_GRID_POINTS)
-    f = density(spec, z)
+    f = _density_from_plan(plan, z)
     _emit_csv(["z", "f_q"], zip(z.tolist(), f.tolist()), args.out)
 
 

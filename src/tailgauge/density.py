@@ -11,23 +11,24 @@ expectation over ``u`` of that conditional normal:
     density    f(z) = E_u psi(u) phi((z psi(u) - m(u))/s) / s
     CDF        G(z) = E_u Phi((z psi(u) - m(u))/s)
     survival   S(z) = E_u Phi(-(z psi(u) - m(u))/s)
-    moments    E z = E_u m/psi,  E z^2 = E_u (m^2 + s^2)/psi^2
+    mass       1 = E_u 1
+    moments    E (z-q) = E_u (m/psi - q),  E (z-q)^2 = E_u ((m/psi - q)^2 + (s/psi)^2)
 
-(the density is the paper's formula with its exponent split into the normal
-densities of ``u`` and of ``v`` given ``u``).  All of them are weighted sums
-over one u-rule, and so is the bias/variance surface.  One
-``quadrature.adaptive_rule`` call builds that rule: it refines until the
-moment integrands and the density at a few probe points are resolved, and
-its totals are the moments.  ``G`` is the CDF on the whole line, with no
-window behind it; quantiles bisect ``G`` up to the median and ``S`` above.
-The density's z-window brackets them, serves ``evaluation_window`` and gives
-``stats`` the normalization defect in closed form, as the CDF's mass over it;
-only ``stats(method="quadrature")``, the cross-check, integrates the density
-over z, across the moment window.
-The u-rule, the z-windows and the z-quadrature all run at one fixed accuracy:
-relative 1e-8 (``_REL_TOL``), with at most 20 refinement or widening steps
-(``_MAX_REFINEMENTS``).  Nothing is memoised: each entry point builds its
-spec's u-rule once and hands it down.  The approximation is validated for
+about the true quantile ``q`` (the density is the paper's formula with its
+exponent split into the normal densities of ``u`` and of ``v`` given
+``u``).  All of them are weighted sums over one u-rule, and so is the
+bias/variance surface.  One ``quadrature.adaptive_rule`` call builds that
+rule: it refines until the mass, the moment integrands and the density at a
+few probe points are resolved, and its totals are the mass, the bias and
+``E (z-q)^2``; ``stats`` reads its normalization defect off that mass.
+``G`` is the CDF on the whole line, with no window behind it; quantiles
+bisect ``G`` up to the median and ``S`` above, from a bracket beyond which
+every node's normal is exactly 0.  Only ``stats(method="quadrature")``, the
+cross-check, integrates the density over z, across the whole line.
+The u-rule and the z-quadrature run at one fixed accuracy: relative 1e-8
+(``_REL_TOL``), with at most 20 refinement rounds (``_MAX_REFINEMENTS``).
+Nothing is memoised: each entry point builds its spec's u-rule once and
+hands it down.  The approximation is validated for
 ``n >= 50`` and ``xi`` in [0, 0.5]; anything else must be requested
 explicitly and is flagged by a warning.
 """
@@ -47,8 +48,8 @@ from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
 from .mle import AsymptoticCovariance, asymptotic_covariance
 from .quadrature import adaptive_rule, integrate_adaptive
 
-# relative accuracy of the u-rule, the z-windows and the z-quadrature, and the
-# cap on their refinement or widening steps
+# relative accuracy of the u-rule and the z-quadrature, and the cap on their
+# refinement rounds
 _REL_TOL = 1e-8
 _MAX_REFINEMENTS = 20
 
@@ -71,7 +72,8 @@ _U_HALFWIDTH_SDS = 10.0
 # both tails; probes spaced by the estimator's sd around q_true leave the
 # rule unrefined below the mode at (n, xi) = (50, 0.5)
 _PROBE_SDS = np.array([-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0])
-_Z_EXPANSION = 1.5
+# the estimator's mass that evaluation_window leaves below and above it
+_WINDOW_TAIL = 1e-12
 
 # rational approximations of erf/erfc (Cody 1969, Math. Comp. 23, as in his
 # CALERF): |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4
@@ -192,6 +194,7 @@ class _Plan(NamedTuple):
     t: float
     law: AsymptoticCovariance
     q_true: float
+    mass: float
     mean: float
     var: float
     u_nodes: np.ndarray
@@ -225,49 +228,51 @@ def _integrand_matrix(cond, z: np.ndarray):
     return (g * pu / (s * math.sqrt(2.0 * math.pi)))[:, None] * np.exp(-0.5 * x * x)
 
 
-def _u_sum(weights: np.ndarray, z: np.ndarray, matrix) -> np.ndarray:
-    """``weights @ matrix(z)``, over chunks of ``z`` that keep the (u, z)
-    block within _WORKSPACE elements, so that the elementwise passes of
-    ``matrix`` run in cache (at least one column per chunk).  Chunking
-    changes only the order of the BLAS sums."""
-    out = np.empty(z.shape, dtype=float)
+def _u_sum(weights: np.ndarray, size: int, matrix) -> np.ndarray:
+    """``weights @ matrix(cols)`` over slices ``cols`` of the ``size``
+    points that keep the (u, point) block within _WORKSPACE elements, so
+    that the elementwise passes of ``matrix`` run in cache (at least one
+    column per slice).  Slicing changes only the order of the BLAS sums."""
+    out = np.empty(size, dtype=float)
     step = max(1, _WORKSPACE // max(weights.size, 1))
-    for k in range(0, z.size, step):
-        out[k:k + step] = weights @ matrix(z[k:k + step])
+    for k in range(0, size, step):
+        cols = slice(k, k + step)
+        out[cols] = weights @ matrix(cols)
     return out
 
 
 def _density_from_plan(plan: _Plan, z: np.ndarray) -> np.ndarray:
     cond = _conditional_law(plan.law, plan.t, plan.u_nodes)
-    return _u_sum(plan.u_weights, z, lambda zz: _integrand_matrix(cond, zz))
+    return _u_sum(plan.u_weights, z.size, lambda cols: _integrand_matrix(cond, z[cols]))
 
 
-def _cdf_from_plan(plan: _Plan, q, upper=False) -> np.ndarray:
-    """``G(q)``, or with ``upper`` ``S(q)``, on the plan's u-rule, with
-    ``Phi(x) = erfc(-x/sqrt(2))/2``; S keeps its relative precision where G is 1."""
+def _cdf_from_plan(plan: _Plan, q: np.ndarray, upper=False) -> np.ndarray:
+    """``G(q)``, and ``S(q)`` where ``upper`` (one flag, or one per point),
+    on the plan's u-rule, with ``Phi(x) = erfc(-x/sqrt(2))/2``; S keeps its
+    relative precision where G is 1."""
     g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
     a, b = (pu / (math.sqrt(2.0) * s))[:, None], (m / (math.sqrt(2.0) * s))[:, None]
-    a, b = (-a, -b) if upper else (a, b)
-    return _u_sum(0.5 * plan.u_weights * g, q, lambda qq: _erfc(b - a * qq[None, :]))
-
-
-def _moment_parts(plan: _Plan, z: np.ndarray) -> np.ndarray:
-    """The moment integrands (f, z f, z^2 f), one row per point of ``z``."""
-    fz = _density_from_plan(plan, z)
-    return np.stack([fz, z * fz, z * z * fz], axis=-1)
+    sign = np.broadcast_to(np.where(upper, -1.0, 1.0), q.shape)
+    return _u_sum(0.5 * plan.u_weights * g, q.size,
+                  lambda cols: _erfc(sign[cols] * (b - a * q[None, cols])))
 
 
 def _plan(spec: DensitySpec) -> _Plan:
     """The spec's limiting law, its u-rule and moments from one adaptive Kronrod call.
 
     Over the truncated u-range the rule resolves, each to relative
-    ``_REL_TOL``, the mass of u, the moment integrands ``g m/psi`` and
-    ``g (m^2 + s^2)/psi^2``, and the density at the probes.  Where psi^-2
-    overflows the rule cannot resolve, and the QuadratureError names the spec.
+    ``_REL_TOL``, the mass of u, the moment integrands ``g (m/psi - q)`` and
+    ``g ((m/psi - q)^2 + (s/psi)^2)`` about the true quantile ``q``, and the
+    density at the probes.  The bias is the first of those moments, so it is
+    resolved directly, and the variance ``E (z-q)^2 - bias^2`` cancels
+    nothing.  Where the rounding of ``m/psi - q`` swamps the bias (n beyond
+    about 1e9), where psi^-2 overflows, or where the rule does not hold the
+    law's unit mass, the QuadratureError names the spec.
     """
     t = -math.log1p(-spec.alpha.alpha)
     params = GpdParams(spec.sigma, spec.xi)
     law = asymptotic_covariance(params, spec.n)
+    q_true = quantile(params, spec.alpha)
     mu_u, sd_u = law.mean_vector[0], math.sqrt(law.cov_matrix[0, 0])
     lo = mu_u - _U_HALFWIDTH_SDS * sd_u
     hi = mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
@@ -277,7 +282,8 @@ def _plan(spec: DensitySpec) -> _Plan:
 
         def integrands(u):
             g, pu, m, s = cond = _conditional_law(law, t, u)
-            return np.column_stack([g, g * m / pu, g * (m * m + s * s) / (pu * pu),
+            d = m / pu - q_true
+            return np.column_stack([g, g * d, g * (d * d + (s / pu) ** 2),
                                     _integrand_matrix(cond, probes)])
 
         try:
@@ -286,65 +292,43 @@ def _plan(spec: DensitySpec) -> _Plan:
         except QuadratureError as exc:
             raise QuadratureError(
                 f"u-rule failed at (n={spec.n}, xi={spec.xi}): {exc}") from exc
-    mean = float(totals[1])
-    return _Plan(t, law, quantile(params, spec.alpha), mean,
-                 float(totals[2]) - mean * mean, nodes, weights)
-
-
-def _window(spec: DensitySpec, plan: _Plan,
-            moments: bool = True) -> tuple[float, float]:
-    """Adaptive z-window: start at q +- 8 sd, widen each edge until it is idle.
-
-    An edge is idle when each moment integrand there (f, |z| f, z^2 f), times
-    the window's width, is below ``_REL_TOL`` of its total as the u-sums of
-    ``plan`` give it, (1, |E z|, E z^2), so the second moment is not silently
-    truncated.  With ``moments=False`` only the density's own mass counts
-    (enough for plotting, the quantile bracket and the normalization defect;
-    the CDF needs no window).  The two
-    edges expand independently, at most ``_MAX_REFINEMENTS`` times.
-    """
-    s = math.sqrt(max(plan.var, 1e-300))
-    lo, hi = plan.q_true - 8.0 * s, plan.q_true + 8.0 * s
-    totals = [1.0, abs(plan.mean), plan.var + plan.mean ** 2][:3 if moments else 1]
-    budget = _REL_TOL * np.maximum(totals, 1e-300)
-    for _ in range(_MAX_REFINEMENTS + 1):
-        parts = np.abs(_moment_parts(plan, np.array([lo, hi])))
-        contrib = parts[:, :len(totals)] * (hi - lo)
-        grow_lo = bool(np.any(contrib[0] >= budget))
-        grow_hi = bool(np.any(contrib[1] >= budget))
-        if not (grow_lo or grow_hi):
-            return lo, hi
-        c = 0.5 * (lo + hi)
-        if grow_lo:
-            lo = c - (c - lo) * _Z_EXPANSION
-        if grow_hi:
-            hi = c + (hi - c) * _Z_EXPANSION
-    raise QuadratureError(
-        f"z-window did not close within {_MAX_REFINEMENTS} widenings at "
-        f"(n={spec.n}, xi={spec.xi})")
+    mass, bias, second = (float(v) for v in totals[:3])
+    if not abs(mass - 1.0) <= _REL_TOL:   # e.g. a u-range that rounds to a point
+        raise QuadratureError(
+            f"u-rule failed at (n={spec.n}, xi={spec.xi}): it holds mass {mass:.3g}")
+    return _Plan(t, law, q_true, mass, q_true + bias, second - bias * bias,
+                 nodes, weights)
 
 
 def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
-    """The adaptively chosen z-range that carries the density's mass."""
+    """The z-range that carries the density's mass: the estimator quantiles
+    that leave ``_WINDOW_TAIL`` below and above."""
     _warn_if_unvalidated(spec)
-    return _window(spec, _plan(spec), moments=False)
+    lo, hi = _estimator_quantiles(_plan(spec), (_WINDOW_TAIL, 1.0 - _WINDOW_TAIL))
+    return float(lo), float(hi)
 
 
-def _estimator_quantiles(spec: DensitySpec, probs) -> np.ndarray:
-    """Quantiles of ``cdf_of_estimator`` at ``probs``: ``G(q) = p`` for
-    ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an ulp
-    of 1, bisected in ``_window(moments=False)`` to adjacent doubles."""
-    plan = _plan(spec)
+def _estimator_quantiles(plan: _Plan, probs) -> np.ndarray:
+    """Quantiles of ``cdf_of_estimator`` at ``probs`` in (0, 1): ``G(q) = p``
+    for ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an
+    ulp of 1, bisected to adjacent doubles; each step is one u-sum that
+    takes G and S together.  The bracket is read off the u-rule: with
+    ``K = _ERFC_ZERO sqrt(2)``, every node's erfc argument reaches
+    ``_ERFC_ZERO`` below ``min((m - K s)/psi)``, so G is exactly 0 there, and
+    S is exactly 0 above ``max((m + K s)/psi)``."""
     p = np.asarray(probs, dtype=float)
-    upper, target = p > 0.5, np.where(p > 0.5, 1.0 - p, p)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise ValidationError(f"probabilities must lie in (0, 1), got {probs}")
+    upper = p > 0.5
+    target = np.where(upper, 1.0 - p, p)
 
     def short(q):   # True where q lies below the quantile
-        return np.where(upper, _cdf_from_plan(plan, q, upper=True) > target,
-                        _cdf_from_plan(plan, q) < target)
-    a, b = (np.full(p.shape, e) for e in _window(spec, plan, moments=False))
-    if np.any(~short(a) | short(b)):
-        raise QuadratureError(
-            f"z-window does not bracket the quantiles at (n={spec.n}, xi={spec.xi})")
+        tail = _cdf_from_plan(plan, q, upper)
+        return np.where(upper, tail > target, tail < target)
+    _g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
+    reach = _ERFC_ZERO * math.sqrt(2.0) * s
+    a = np.full(p.shape, np.min((m - reach) / pu))
+    b = np.full(p.shape, np.max((m + reach) / pu))
     mid = 0.5 * (a + b)
     while np.any((a < mid) & (mid < b)):
         below = short(mid)
@@ -375,35 +359,39 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     """Mean, variance and bias of the estimator density.
 
     ``method="hermite"`` (default; the name is historical) runs no
-    quadrature over z.  It takes the moments ``E z = E_u m/psi`` and
-    ``E z^2 = E_u (m^2 + s^2)/psi^2`` from the u-rule's totals, and the
-    normalization defect ``|G(hi) - G(lo) - 1|`` from the u-sum
-    ``G(q) = E_u Phi((q psi - m)/s)`` of the CDF at the ends of
-    ``evaluation_window``.  ``method="quadrature"`` integrates
-    (f, z f, z^2 f) over the wider moment z-window, the independent
-    cross-check; it runs to relative ``_REL_TOL`` in at most
-    ``_MAX_REFINEMENTS`` rounds, and the two methods agree to that accuracy.
+    quadrature over z.  It takes the bias ``E_u (m/psi - q)``, the variance
+    from ``E_u ((m/psi - q)^2 + (s/psi)^2)`` and the normalization defect
+    ``|E_u 1 - 1|``, the mass of f over the whole line, from the u-rule's
+    totals.  ``method="quadrature"`` integrates (f, (z-q) f, (z-q)^2 f) over
+    the whole line, mapped onto (-1, 1), the independent cross-check; it
+    runs to relative ``_REL_TOL`` in at most ``_MAX_REFINEMENTS`` rounds,
+    and the two methods agree to that accuracy.
     """
     if method not in ("hermite", "quadrature"):
         raise ValidationError(f"unknown stats method {method!r}")
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
     if method == "hermite":
-        g_lo, g_hi = _cdf_from_plan(plan, np.array(_window(spec, plan, moments=False)))
-        mass = g_hi - g_lo
-        mean, var = plan.mean, plan.var
+        mass, mean, var = plan.mass, plan.mean, plan.var
     else:
-        totals, _err = integrate_adaptive(
-            lambda zz: _moment_parts(plan, zz), *_window(spec, plan),
-            rel_tol=_REL_TOL, max_rounds=_MAX_REFINEMENTS)
-        mass, i1, i2 = (float(v) for v in totals)
-        mean, var = i1, i2 - i1 * i1
+        h = math.sqrt(plan.var)
+
+        def moment_parts(x):   # z - q = h x/(1 - x^2) maps (-1, 1) onto the line
+            w = 1.0 - x * x
+            d = h * x / w
+            fj = _density_from_plan(plan, plan.q_true + d) * (h * (1.0 + x * x) / (w * w))
+            return np.column_stack([fj, d * fj, d * d * fj])
+
+        totals, _err = integrate_adaptive(moment_parts, -1.0, 1.0,
+                                          rel_tol=_REL_TOL, max_rounds=_MAX_REFINEMENTS)
+        mass, bias, second = (float(v) for v in totals)
+        mean, var = plan.q_true + bias, second - bias * bias
     return QuantileStats(
         mean=mean,
         variance=var,
         bias=mean - plan.q_true,
         true_quantile=plan.q_true,
-        normalization_defect=abs(float(mass) - 1.0),
+        normalization_defect=abs(mass - 1.0),
     )
 
 

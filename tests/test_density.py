@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import tailgauge as tg
-from tailgauge.density import (_REL_TOL, _cdf_from_plan, _erfc, _estimator_quantiles,
-                               _plan, _window, evaluation_window)
+from tailgauge.density import (_ERFC_ZERO, _REL_TOL, _cdf_from_plan, _conditional_law,
+                               _erfc, _estimator_quantiles, _plan, evaluation_window)
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -243,7 +243,7 @@ class TestCdf:
         for q in qs:
             assert abs(tg.cdf_of_estimator(spec, q) - (below + mass(lo, q))) <= 1e-8
         plan = _plan(spec)
-        for q in (*qs, _estimator_quantiles(spec, [1 - 1e-4])[0]):
+        for q in (*qs, _estimator_quantiles(plan, [1 - 1e-4])[0]):
             s = _cdf_from_plan(plan, np.array([q]), upper=True)[0]
             assert abs(s - mass(q, math.inf)) <= 1e-8
 
@@ -265,7 +265,7 @@ class TestCdf:
         # worst |F(F^-1(p)) - p| over 23,000 random (spec, p) draws from
         # these ranges: 2.4e-15 (median 7.8e-16), about 11 ulp of p = 0.5
         spec = _spec(n, xi, alpha=alpha, sigma=sigma)
-        q = _estimator_quantiles(spec, np.array([p]))
+        q = _estimator_quantiles(_plan(spec), np.array([p]))
         assert abs(tg.cdf_of_estimator(spec, q)[0] - p) <= 5e-15
 
     def test_erfc_against_scipy(self):
@@ -459,27 +459,24 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
     lo, hi = evaluation_window(spec)
     assert lo < plan.q_true < hi
     assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
-    assert _window(spec, plan, moments=True)[1] >= hi
     assert tg.stats(spec).normalization_defect <= 1e-6
     with pytest.raises(AssertionError, match="z-quadrature"):
         tg.stats(spec, method="quadrature")
 
 
 @pytest.mark.parametrize("n, xi, ulps", [(100, 0.25, 0), (50, 0.0, 0), (50, 0.5, 2)])
-def test_quantiles_do_not_follow_the_u_sum_order(monkeypatch, n, xi, ulps):
+def test_quantiles_do_not_follow_the_u_sum_order(n, xi, ulps):
     # the upper quantile bisects S, not G near 1, whose ulp of 1 let a
     # permuted u-rule move it by up to 1.7e-10 at fig-1.  S still carries a
     # few ulp of rounding, which can move an end of the final bracket by one
     # double; at (50, 0.5) that shows as 2 ulp of the returned midpoint
-    module = importlib.import_module("tailgauge.density")
-    spec, probs = _spec(n, xi), (1e-4, 1 - 1e-4)
-    plan = _plan(spec)
-    ref = _estimator_quantiles(spec, probs)
+    probs = (1e-4, 1 - 1e-4)
+    plan = _plan(_spec(n, xi))
+    ref = _estimator_quantiles(plan, probs)
     for seed in range(8):
         k = np.random.default_rng(seed).permutation(plan.u_nodes.size)
         permuted = plan._replace(u_nodes=plan.u_nodes[k], u_weights=plan.u_weights[k])
-        monkeypatch.setattr(module, "_plan", lambda _spec, p=permuted: p)
-        got = _estimator_quantiles(spec, probs)
+        got = _estimator_quantiles(permuted, probs)
         assert np.all(np.abs(got - ref) <= ulps * np.spacing(ref)), (seed, got - ref)
 
 
@@ -498,14 +495,26 @@ def test_estimator_law_reads_asymptotic_covariance_alone(monkeypatch):
     np.testing.assert_array_equal(got[2], ref[2])
 
 
-@pytest.mark.parametrize("p", [1e-4, 1 - 1e-4])
-def test_quantile_outside_the_window_raises(monkeypatch, fig1_spec, p):
-    # a window that misses the quantile is an error, not a window edge
-    module = importlib.import_module("tailgauge.density")
-    monkeypatch.setattr(module, "_window",
-                        lambda spec, plan, moments=True: (plan.q_true, plan.q_true + 1))
-    with pytest.raises(tg.QuadratureError, match="n=100, xi=0.25"):
-        _estimator_quantiles(fig1_spec, (p,))
+@pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5), (50, 0.0), (1000, 0.5),
+                                   (10, 1.0)])
+def test_quantile_bracket_holds_no_mass_beyond_it(n, xi):
+    # past (m -+ K s)/psi every node's erfc argument reaches _ERFC_ZERO, so
+    # the bisection's bracket has G = 0 below it and S = 0 above it exactly
+    plan = _plan(_spec(n, xi, allow_unvalidated=True))
+    _g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
+    reach = _ERFC_ZERO * math.sqrt(2.0) * s
+    lo, hi = np.min((m - reach) / pu), np.max((m + reach) / pu)
+    assert _cdf_from_plan(plan, np.array([lo]))[0] == 0.0
+    assert _cdf_from_plan(plan, np.array([hi]), upper=True)[0] == 0.0
+    q = _estimator_quantiles(plan, (1e-300, 0.5, 1.0 - 2.0 ** -53))
+    assert np.all((lo < q) & (q < hi))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_quantile_probability_outside_the_unit_interval_raises(fig1_spec, p):
+    # no bracket end comes back as a quantile
+    with pytest.raises(tg.ValidationError, match="probabilities"):
+        _estimator_quantiles(_plan(fig1_spec), (0.5, p))
 
 
 def test_window_covers_mass(fig1_spec, fig1_stats):
@@ -522,7 +531,7 @@ def test_conditional_normal_density_matches_bracket_form(n, xi, alpha, sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tg.OutsideValidatedRegionWarning)
         lo, hi = evaluation_window(spec)
-        core = _estimator_quantiles(spec, (1e-4, 1 - 1e-4))
+        core = _estimator_quantiles(_plan(spec), (1e-4, 1 - 1e-4))
         z = np.concatenate([np.linspace(lo, hi, 2001), np.linspace(*core, 2001)])
         mine = tg.density(spec, z)
     ref = _bracket_density(spec, z)
@@ -541,15 +550,38 @@ def test_stats_returns_plan_moments_where_no_moment_window_closes(n, xi):
 
 
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
-def test_default_stats_defect_matches_density_quadrature_over_mass_window(n, xi):
-    # the closed-form mass G(hi) - G(lo) against the density integrated
-    # over the same window by the adaptive z-quadrature
-    module = importlib.import_module("tailgauge.density")
+def test_default_stats_defect_matches_whole_line_z_quadrature(n, xi):
+    # the defect is the u-rule's mass, the integral of f over the whole
+    # line; the z-quadrature of f over the whole line finds the same mass
     spec = _spec(n, xi)
-    mass, _err = module.integrate_adaptive(
-        lambda z: tg.density(spec, z), *evaluation_window(spec),
-        rel_tol=module._REL_TOL, max_rounds=module._MAX_REFINEMENTS)
-    assert abs(abs(mass - 1.0) - tg.stats(spec).normalization_defect) <= 1e-12
+    plan = _plan(spec)
+    mass = plan.u_weights @ _conditional_law(plan.law, plan.t, plan.u_nodes)[0]
+    defect = tg.stats(spec).normalization_defect
+    assert abs(defect - abs(mass - 1.0)) <= 1e-15   # the order of the sum
+    assert abs(tg.stats(spec, method="quadrature").normalization_defect - defect) <= 1e-11
+
+
+def test_z_quadrature_agrees_with_u_rule_moments_on_default_grid(default_grid_stats):
+    tol = 10 * _REL_TOL
+    for (n, xi), fast in default_grid_stats.items():
+        slow = tg.stats(_spec(n, xi), method="quadrature")
+        assert abs(fast.mean - slow.mean) <= tol * max(1.0, abs(slow.mean)), (n, xi)
+        assert abs(fast.variance - slow.variance) <= tol * max(1.0, slow.variance), (n, xi)
+
+
+def test_moments_scale_as_one_over_n_until_the_bias_drowns_in_rounding():
+    # the u-rule resolves the bias and E (z-q)^2 directly, so nothing
+    # cancels at n = 1e8; by n = 1e12 rounding of m/psi - q swamps the
+    # bias, and the rule refuses it rather than return a wrong number
+    mid, big = tg.stats(_spec(10**6, 0.25)), tg.stats(_spec(10**8, 0.25))
+    assert big.bias * 1e8 == pytest.approx(mid.bias * 1e6, rel=1e-4)
+    assert big.variance * 1e8 == pytest.approx(mid.variance * 1e6, rel=1e-4)
+    for n in (10**12, 10**16):
+        with pytest.raises(tg.QuadratureError, match=f"n={n}, xi=0.25"):
+            tg.stats(_spec(n, 0.25))
+    # here the u-range rounds to one point and the rule holds no mass
+    with pytest.raises(tg.QuadratureError, match="mass 0"):
+        tg.stats(_spec(10**300, 0.5))
 
 
 @pytest.mark.parametrize("n, xi, alpha", [(2, 2.0, 0.999), (10, 5.0, 0.99999)])
