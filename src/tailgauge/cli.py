@@ -1,8 +1,9 @@
 """Command-line front end: fit loss series, emit densities, tables and reports.
 
-Configuration precedence is flags > environment (TAILGAUGE_*) > key=value
-config file (via --config) > built-in defaults.  Exit codes: 0 success,
-2 validation error, 3 numerical failure, 4 I/O error.
+Each subcommand takes only the layered options of LAYERED_OPTIONS that it
+reads, resolved once before it runs: flags > environment (TAILGAUGE_*) >
+key=value config file (via --config) > built-in defaults.  Exit codes:
+0 success, 2 usage or validation error, 3 numerical failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 
 from .bias import (BiasLawParams, PRACTICAL_ALPHA, PRACTICAL_PARAMS, bias_law,
                    bias_practical, fit_bias_law)
-from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, DensitySpec,
-                      _density_from_plan, _estimator_quantiles, _plan,
-                      _warn_if_unvalidated, bias_variance_surface)
+from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, VALIDATED_MIN_N,
+                      VALIDATED_XI, DensitySpec, _density_from_plan,
+                      _estimator_quantiles, _plan, _warn_if_unvalidated,
+                      bias_variance_surface)
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, quantile
 from .simulate import SimConfig, run
@@ -37,27 +39,32 @@ DENSITY_GRID_POINTS = 512
 DENSITY_GRID_PROBS = (1e-4, 1.0 - 1e-4)
 HISTOGRAM_BINS = 30
 
-_DEFAULTS = {
-    "alpha": 0.999,
-    "tail_fraction": 0.10,
-    "sigma": 1.0,
-    "seed": 0,
-    "replications": 10_000,
+# the layered options: key -> (default, help).  A subcommand declares the
+# keys it reads; each flag takes its default's type
+LAYERED_OPTIONS = {
+    "alpha": (0.999, "confidence level"),
+    "tail_fraction": (0.10, "tail fraction"),
+    "sigma": (1.0, "scale parameter"),
+    "seed": (0, "Monte Carlo seed"),
+    "replications": (10_000, "Monte Carlo replications"),
 }
 
 
-def _layered(args: argparse.Namespace, key: str, cast):
-    """Resolve one option: flag > environment > config file > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    env = os.environ.get(ENV_PREFIX + key.upper())
-    if env is not None:
-        return _cast(cast, env, ENV_PREFIX + key.upper())
-    fileval = _config_file(args).get(key)
-    if fileval is not None:
-        return _cast(cast, fileval, f"config key {key!r}")
-    return _DEFAULTS.get(key)
+def _resolve(args: argparse.Namespace) -> None:
+    """Fill each declared layered option whose flag is unset: environment >
+    config file > default."""
+    config = _config_file(args.config) if getattr(args, "config", None) else {}
+    for key, (default, _help) in LAYERED_OPTIONS.items():
+        if getattr(args, key, default) is not None:   # undeclared, or flagged
+            continue
+        env = ENV_PREFIX + key.upper()
+        if env in os.environ:
+            value = _cast(type(default), os.environ[env], env)
+        elif key in config:
+            value = _cast(type(default), config[key], f"config key {key!r}")
+        else:
+            value = default
+        setattr(args, key, value)
 
 
 def _cast(cast, text: str, source: str):
@@ -71,23 +78,22 @@ def _cast(cast, text: str, source: str):
     return val
 
 
-def _config_file(args: argparse.Namespace) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
-    if getattr(args, "_config_cache", None) is None:
-        out = {}
-        with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValidationError(f"bad config line: {line!r}")
-                k, v = line.split("=", 1)
-                out[k.strip().replace("-", "_")] = v.strip()
-        args._config_cache = out
-    return args._config_cache
+def _config_file(path: str) -> dict:
+    """The ``key = value`` lines of a config file; every key is a layered option."""
+    out = {}
+    with open(path, encoding=TEXT_ENCODING, errors="replace") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValidationError(f"bad config line: {line!r}")
+            k, v = line.split("=", 1)
+            k = k.strip().replace("-", "_")
+            if k not in LAYERED_OPTIONS:
+                raise ValidationError(f"{path}: unknown config key {k!r}")
+            out[k] = v.strip()
+    return out
 
 
 def _parse_grid(text: str, log_spaced: bool, cast):
@@ -209,8 +215,8 @@ def _collect_region_warnings(record) -> list[str]:
 
 
 def cmd_fit(args: argparse.Namespace) -> None:
-    alpha = ConfidenceLevel(_layered(args, "alpha", float))
-    fraction = _check_tail_fraction(_layered(args, "tail_fraction", float))
+    alpha = ConfidenceLevel(args.alpha)
+    fraction = _check_tail_fraction(args.tail_fraction)
     series = read_series(args.input)
     if series.size < MIN_FIT_ROWS:
         raise ValidationError(
@@ -226,9 +232,9 @@ def cmd_fit(args: argparse.Namespace) -> None:
     warn = []
     if not est.converged:
         warn.append("mle_not_converged")
-    if not 0.0 <= est.xi_hat <= 0.5:
+    if not VALIDATED_XI[0] <= est.xi_hat <= VALIDATED_XI[1]:
         warn.append("xi_hat_outside_validated_region")
-    if sel.n_hat < 50:
+    if sel.n_hat < VALIDATED_MIN_N:
         warn.append("n_hat_below_validated_region")
 
     b_practical = bias_practical(sel.n_hat, est.xi_hat)
@@ -265,20 +271,9 @@ def cmd_fit(args: argparse.Namespace) -> None:
     }, args.out)
 
 
-def _spec_from_args(args: argparse.Namespace) -> DensitySpec:
-    if args.n is None or args.xi is None:
-        raise ValidationError("this command requires --n and --xi")
-    return DensitySpec(
-        n=args.n,
-        alpha=ConfidenceLevel(_layered(args, "alpha", float)),
-        sigma=_layered(args, "sigma", float),
-        xi=args.xi,
-        allow_unvalidated=args.override_region,
-    )
-
-
 def cmd_density(args: argparse.Namespace) -> None:
-    spec = _spec_from_args(args)
+    spec = DensitySpec(n=args.n, alpha=ConfidenceLevel(args.alpha), sigma=args.sigma,
+                       xi=args.xi, allow_unvalidated=args.override_region)
     plan = _plan(spec)
     _warn_if_unvalidated(spec)
     lo, hi = _estimator_quantiles(plan, DENSITY_GRID_PROBS)
@@ -289,13 +284,12 @@ def cmd_density(args: argparse.Namespace) -> None:
 
 def _surface_from_args(args: argparse.Namespace):
     """The bias/variance surface over the --grid-n/--grid-xi grid."""
-    alpha = ConfidenceLevel(_layered(args, "alpha", float))
-    sigma = _layered(args, "sigma", float)
     n_grid = (_parse_grid(args.grid_n, True, lambda v: int(round(v)))
               if args.grid_n else list(DEFAULT_N_GRID))
     xi_grid = (_parse_grid(args.grid_xi, False, float)
                if args.grid_xi else list(DEFAULT_XI_GRID))
-    return bias_variance_surface(n_grid, xi_grid, alpha, sigma)
+    return bias_variance_surface(n_grid, xi_grid, ConfidenceLevel(args.alpha),
+                                 args.sigma)
 
 
 def cmd_bias_table(args: argparse.Namespace) -> None:
@@ -322,16 +316,12 @@ def _linear_quantile(values: np.ndarray, p: float) -> float:
 
 
 def cmd_simulate(args: argparse.Namespace) -> None:
-    if not args.out:
-        raise ValidationError("simulate requires --out (JSON report path)")
-    if args.n is None or args.xi is None:
-        raise ValidationError("simulate requires --n and --xi")
     config = SimConfig(
         n=args.n,
-        replications=_layered(args, "replications", int),
-        params=GpdParams(_layered(args, "sigma", float), args.xi),
-        alpha=ConfidenceLevel(_layered(args, "alpha", float)),
-        seed=_layered(args, "seed", int),
+        replications=args.replications,
+        params=GpdParams(args.sigma, args.xi),
+        alpha=ConfidenceLevel(args.alpha),
+        seed=args.seed,
     )
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
@@ -377,8 +367,6 @@ def cmd_regress(args: argparse.Namespace) -> None:
 
 
 def cmd_correct(args: argparse.Namespace) -> None:
-    if args.q_hat is None or args.n is None or args.xi is None:
-        raise ValidationError("correct requires --q-hat, --n and --xi")
     if not math.isfinite(args.q_hat):
         raise ValidationError(f"--q-hat must be finite, got {args.q_hat}")
     if args.law_params:
@@ -408,62 +396,53 @@ def build_parser() -> argparse.ArgumentParser:
         description="GPD tail fitting and finite-sample quantile-bias analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--alpha", type=float, default=None,
-                       help="confidence level (default 0.999)")
-        p.add_argument("--sigma", type=float, default=None,
-                       help="scale parameter (default 1.0)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--config", default=None,
-                       help="key=value config file (lowest precedence)")
+    def command(name, func, text, *keys, out_required=False):
+        """A subcommand with --out and the layered options ``keys``, plus
+        --config where it takes any."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        for key in keys:
+            default, key_help = LAYERED_OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                           help=f"{key_help} (default {default})")
+        if keys:
+            p.add_argument("--config", help="key=value config file (lowest precedence)")
+        p.add_argument("--out", required=out_required,
+                       help="JSON report path" if out_required
+                       else "output path (default stdout)")
+        return p
 
-    p_fit = sub.add_parser("fit", help="fit a loss series and correct its quantile")
+    def spec_flags(p):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--xi", type=float, required=True)
+
+    p_fit = command("fit", cmd_fit, "fit a loss series and correct its quantile",
+                    "alpha", "tail_fraction")
     p_fit.add_argument("input", help="CSV: one numeric value per line")
-    p_fit.add_argument("--tail-fraction", dest="tail_fraction", type=float,
-                       default=None, help="tail fraction (default 0.10)")
     p_fit.add_argument("--negate", action="store_true",
                        help="negate the series (return series, lower tail)")
-    common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
 
-    p_den = sub.add_parser("density", help="estimator density table (CSV)")
-    p_den.add_argument("--n", type=int, default=None)
-    p_den.add_argument("--xi", type=float, default=None)
+    p_den = command("density", cmd_density, "estimator density table (CSV)",
+                    "alpha", "sigma")
+    spec_flags(p_den)
     p_den.add_argument("--override-region", action="store_true",
                        help="allow (n, xi) outside the validated region")
-    common(p_den)
-    p_den.set_defaults(func=cmd_density)
 
-    p_tab = sub.add_parser("bias-table", help="bias/variance surface (CSV)")
-    p_tab.add_argument("--grid-n", default=None,
-                       help="'lo:hi:count' (log-spaced) or comma list")
-    p_tab.add_argument("--grid-xi", default=None,
-                       help="'lo:hi:count' (linear) or comma list")
-    common(p_tab)
-    p_tab.set_defaults(func=cmd_bias_table)
+    for name, func, text in (
+            ("bias-table", cmd_bias_table, "bias/variance surface (CSV)"),
+            ("regress", cmd_regress, "fit the bias law to a fresh surface")):
+        p_tab = command(name, func, text, "alpha", "sigma")
+        p_tab.add_argument("--grid-n", help="'lo:hi:count' (log-spaced) or comma list")
+        p_tab.add_argument("--grid-xi", help="'lo:hi:count' (linear) or comma list")
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo replication report")
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--xi", type=float, default=None)
-    p_sim.add_argument("--replications", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    spec_flags(command("simulate", cmd_simulate, "Monte Carlo replication report",
+                       "alpha", "sigma", "replications", "seed", out_required=True))
 
-    p_reg = sub.add_parser("regress", help="fit the bias law to a fresh surface")
-    p_reg.add_argument("--grid-n", default=None)
-    p_reg.add_argument("--grid-xi", default=None)
-    common(p_reg)
-    p_reg.set_defaults(func=cmd_regress)
-
-    p_cor = sub.add_parser("correct", help="bias-correct a fitted quantile")
-    p_cor.add_argument("--q-hat", dest="q_hat", type=float, default=None)
-    p_cor.add_argument("--n", type=int, default=None)
-    p_cor.add_argument("--xi", type=float, default=None)
-    p_cor.add_argument("--law-params", dest="law_params", default=None,
+    p_cor = command("correct", cmd_correct, "bias-correct a fitted quantile")
+    p_cor.add_argument("--q-hat", dest="q_hat", type=float, required=True)
+    spec_flags(p_cor)
+    p_cor.add_argument("--law-params", dest="law_params",
                        help="'a1,a2,a3' overriding the practical law")
-    common(p_cor)
-    p_cor.set_defaults(func=cmd_correct)
 
     return parser
 
@@ -471,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _resolve(args)
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

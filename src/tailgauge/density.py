@@ -106,6 +106,9 @@ _ERFC_ZERO = 27.3
 # in [50, 1000] and shape steps of 0.1
 DEFAULT_N_GRID = tuple(int(v) for v in np.rint(np.geomspace(50, 1000, 20)))
 DEFAULT_XI_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
+# the validated region: n >= VALIDATED_MIN_N and xi in VALIDATED_XI
+VALIDATED_MIN_N = 50
+VALIDATED_XI = (0.0, 0.5)
 
 
 @dataclass(frozen=True)
@@ -128,11 +131,13 @@ class DensitySpec:
         if not (self.in_validated_region or self.allow_unvalidated):
             raise ValidationError(
                 f"(n={self.n}, xi={self.xi}) is outside the validated region "
-                "(n >= 50, 0 <= xi <= 0.5); pass allow_unvalidated=True to override")
+                f"(n >= {VALIDATED_MIN_N}, {VALIDATED_XI[0]:g} <= xi <= "
+                f"{VALIDATED_XI[1]:g}); pass allow_unvalidated=True to override")
 
     @property
     def in_validated_region(self) -> bool:
-        return self.n >= 50 and 0.0 <= self.xi <= 0.5
+        lo, hi = VALIDATED_XI
+        return self.n >= VALIDATED_MIN_N and lo <= self.xi <= hi
 
 
 @dataclass(frozen=True)
@@ -337,22 +342,26 @@ def _estimator_quantiles(plan: _Plan, probs) -> np.ndarray:
     return mid
 
 
+def _pointwise(from_plan, plan: _Plan, points):
+    """``from_plan(plan, x)`` on the flattened ``points``, in their shape;
+    a float for a scalar."""
+    arr = np.asarray(points, dtype=float)
+    out = from_plan(plan, arr.ravel()).reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def density(spec: DensitySpec, z):
-    """Density of the quantile estimator at ``z`` (scalar or array)."""
+    """Density of the quantile estimator at ``z`` (scalar or array of any shape)."""
     _warn_if_unvalidated(spec)
-    plan = _plan(spec)
-    arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = _density_from_plan(plan, arr)
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return _pointwise(_density_from_plan, _plan(spec), z)
 
 
 def cdf_of_estimator(spec: DensitySpec, q):
-    """CDF of the quantile estimator at ``q`` (scalar or array): the u-sum
-    ``G(q)`` on the whole line, 0 at -inf, the u-rule's mass (1 to about
-    1e-14) at +inf, NaN at NaN."""
+    """CDF of the quantile estimator at ``q`` (scalar or array of any shape):
+    the u-sum ``G(q)`` on the whole line, 0 at -inf, the u-rule's mass (1 to
+    about 1e-14) at +inf, NaN at NaN."""
     _warn_if_unvalidated(spec)
-    out = _cdf_from_plan(_plan(spec), np.atleast_1d(np.asarray(q, dtype=float)))
-    return float(out[0]) if np.ndim(q) == 0 else out
+    return _pointwise(_cdf_from_plan, _plan(spec), q)
 
 
 def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:

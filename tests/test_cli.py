@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import json
 import os
 import subprocess
@@ -374,8 +375,10 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_requires_out(self, capsys):
-        assert main(["simulate", "--n", "50", "--xi", "0.25",
-                     "--replications", "150"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "50", "--xi", "0.25", "--replications", "150"])
+        assert exc.value.code == 2
+        assert "required: --out" in capsys.readouterr().err
 
     def test_histogram_edge_is_numpy_quantile(self):
         # the edge is read off np.sort: bitwise np.quantile's "linear" rule
@@ -418,7 +421,10 @@ class TestCorrectCommand:
         assert rep["q_tilde"] == pytest.approx(4.9)
 
     def test_missing_inputs(self, capsys):
-        assert main(["correct", "--q-hat", "5.0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["correct", "--q-hat", "5.0"])
+        assert exc.value.code == 2
+        assert "required: --n, --xi" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--q-hat", "--xi"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -430,6 +436,46 @@ class TestCorrectCommand:
         assert main(argv) == 2
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+# the layered keys each subcommand reads, their documented defaults, and three
+# other values of each key: one each for the flag, the environment and the file
+LAYERED_KEYS = {
+    "fit": ("alpha", "tail_fraction"),
+    "density": ("alpha", "sigma"),
+    "bias-table": ("alpha", "sigma"),
+    "regress": ("alpha", "sigma"),
+    "simulate": ("alpha", "sigma", "replications", "seed"),
+    "correct": (),
+}
+LAYERED_DEFAULTS = {"alpha": "0.999", "tail_fraction": "0.1", "sigma": "1.0",
+                    "seed": "0", "replications": "10000"}
+LAYER_VALUES = {"alpha": ("0.99", "0.995", "0.998"),
+                "tail_fraction": ("0.2", "0.15", "0.05"),
+                "sigma": ("2", "3", "0.5"),
+                "seed": ("1", "2", "3"),
+                "replications": ("100", "101", "102")}
+
+
+def _cheap_argv(command, series="losses.csv"):
+    """A quick valid call of ``command``: one surface cell (12 for regress),
+    100 Monte Carlo replications, a 2000-row series."""
+    return {
+        "fit": ["fit", str(series)],
+        "density": ["density", "--n", "100", "--xi", "0.25"],
+        "bias-table": ["bias-table", "--grid-n", "100", "--grid-xi", "0.25"],
+        "regress": ["regress", "--grid-n", "50:400:4", "--grid-xi", "0.1:0.4:3"],
+        "simulate": ["simulate", "--n", "50", "--xi", "0.25", "--replications", "100"],
+        "correct": ["correct", "--q-hat", "20.969", "--n", "100", "--xi", "0.25"],
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def small_series(tmp_path_factory):
+    x = tg.sample(tg.GpdParams(1.0, 0.25), np.random.default_rng(9), 2000)
+    path = tmp_path_factory.mktemp("data") / "small.csv"
+    path.write_text("".join(f"{float(v)!r}\n" for v in x))
+    return path
 
 
 class TestConfigLayering:
@@ -464,6 +510,75 @@ class TestConfigLayering:
     def test_io_error_exit_code(self, tmp_path):
         assert main(["correct", "--q-hat", "1.0", "--n", "10", "--xi", "0.1",
                      "--out", str(tmp_path / "no" / "dir" / "x.json")]) == 4
+
+    @pytest.mark.parametrize("command, key", [
+        (c, k) for c, keys in LAYERED_KEYS.items() for k in keys])
+    def test_flag_beats_env_beats_config_beats_default(
+            self, command, key, small_series, tmp_path, monkeypatch):
+        for k in LAYERED_DEFAULTS:
+            monkeypatch.delenv("TAILGAUGE_" + k.upper(), raising=False)
+        env_name = "TAILGAUGE_" + key.upper()
+        flag_name = "--" + key.replace("_", "-")
+        argv = _cheap_argv(command, small_series)
+        if flag_name in argv:     # simulate's --replications
+            i = argv.index(flag_name)
+            del argv[i:i + 2]
+        runs = itertools.count()
+
+        def output(flag=None, env=None, config=None):
+            out = tmp_path / f"run{next(runs)}.out"
+            extra = ["--out", str(out)]
+            if flag is not None:
+                extra += [flag_name, flag]
+            if config is not None:
+                cfg = tmp_path / "tg.conf"
+                cfg.write_text(f"{key} = {config}\n")
+                extra += ["--config", str(cfg)]
+            if env is None:
+                monkeypatch.delenv(env_name, raising=False)
+            else:
+                monkeypatch.setenv(env_name, env)
+            assert main(argv + extra) == 0
+            return out.read_bytes()
+
+        flag, env, config = LAYER_VALUES[key]
+        default = LAYERED_DEFAULTS[key]
+        by_flag = {v: output(flag=v) for v in (flag, env, config, default)}
+        assert len(set(by_flag.values())) == 4    # the key shows in the output
+        assert output(flag=flag, env=env, config=config) == by_flag[flag]
+        assert output(env=env, config=config) == by_flag[env]
+        assert output(config=config) == by_flag[config]
+        assert output() == by_flag[default]
+
+    @pytest.mark.parametrize("command, flag", [
+        *((c, "--" + k.replace("_", "-")) for c, keys in LAYERED_KEYS.items()
+          for k in LAYERED_DEFAULTS if k not in keys),
+        ("correct", "--config"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_cheap_argv(command) + ["--out", "x", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "tg.conf"
+        cfg.write_text("sigma = 2\naplha = 0.99\n")
+        assert main(_cheap_argv("bias-table") + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'aplha'\n"
+
+    def test_one_config_file_serves_every_command(self, tmp_path, monkeypatch):
+        # keys that another subcommand reads are accepted and left alone
+        for k in LAYERED_DEFAULTS:
+            monkeypatch.delenv("TAILGAUGE_" + k.upper(), raising=False)
+        cfg = tmp_path / "tg.conf"
+        cfg.write_text("seed = 3\nreplications = 200\ntail-fraction = 0.2\n"
+                       "alpha = 0.999\nsigma = 2\n")
+        out = tmp_path / "tab.csv"
+        assert main(_cheap_argv("bias-table")
+                    + ["--config", str(cfg), "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert rows[0, 3] == 2.0
 
 
 class TestExitCodes:
@@ -509,12 +624,21 @@ class TestExitCodes:
             main(["correct", "--q-hat", "5", "--n", "10", "--xi", "0.1"])
 
 
-def test_cli_import_leaves_scipy_out():
-    # numpy is the only runtime dependency; scipy is a test oracle
+def test_cli_import_leaves_scipy_out(small_series, tmp_path):
+    # numpy is the only runtime dependency and scipy a test oracle; numpy.ma
+    # is why simulate reads its histogram edge off _linear_quantile.  Neither
+    # is imported by the CLI module, nor by a run of its subcommands.
+    runs = [_cheap_argv(c, small_series) + ["--out", str(tmp_path / f"{c}.out")]
+            for c in ("simulate", "density", "bias-table", "fit")]
     src = os.path.dirname(os.path.dirname(tg.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, tailgauge.cli; print('scipy' in sys.modules)"
+    code = (
+        "import sys, tailgauge.cli\n"
+        "print([m for m in ('scipy', 'numpy.ma') if m in sys.modules])\n"
+        f"for argv in {runs!r}:\n"
+        "    assert tailgauge.cli.main(argv) == 0, argv\n"
+        "    print([m for m in ('scipy', 'numpy.ma') if m in sys.modules])\n")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.splitlines() == ["[]"] * 5

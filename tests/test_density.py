@@ -220,6 +220,18 @@ class TestCdf:
         for q, v in zip(qs, vec):
             assert v == pytest.approx(tg.cdf_of_estimator(fig1_spec, float(q)), abs=1e-9)
 
+    @pytest.mark.parametrize("law", [tg.density, tg.cdf_of_estimator],
+                             ids=["density", "cdf"])
+    def test_any_shape_is_the_flattened_call(self, fig1_spec, law):
+        # the flattened call, not scalar calls: a BLAS sum over another
+        # column count rounds differently
+        for z in (np.array([[10.0, 20.0], [30.0, 40.0]]),
+                  np.linspace(-5.0, 80.0, 24).reshape(2, 3, 4)[:, ::2],
+                  np.empty((0, 3))):
+            got = law(fig1_spec, z)
+            assert got.shape == z.shape
+            assert got.tobytes() == law(fig1_spec, z.ravel()).tobytes()
+
     def test_nondecreasing(self, fig1_spec):
         q = np.linspace(-5.0, 80.0, 300)
         f = tg.cdf_of_estimator(fig1_spec, q)
