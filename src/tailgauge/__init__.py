@@ -5,6 +5,10 @@ finite-sample distribution of the resulting quantile estimator, maps its bias
 and variance over sample size and tail heaviness, and applies a parametric
 bias correction to fitted quantiles.  A Monte Carlo harness replicates the
 whole estimation experiment for validation.
+
+``tailgauge.density`` is the re-exported function ``density.density``, which
+shadows its submodule: ``import tailgauge.density as D`` binds the function.
+Reach the module with ``importlib.import_module("tailgauge.density")``.
 """
 
 from .bias import (BiasLawParams, BiasSurface, CALIBRATED_PARAMS,

@@ -16,11 +16,13 @@ expectation over ``u`` of that conditional normal:
 
 about the true quantile ``q`` (the density is the paper's formula with its
 exponent split into the normal densities of ``u`` and of ``v`` given
-``u``).  All of them are weighted sums over one u-rule, and so is the
-bias/variance surface.  One ``quadrature.adaptive_rule`` call builds that
-rule: it refines until the mass, the moment integrands and the density at a
-few probe points are resolved, and its totals are the mass, the bias and
-``E (z-q)^2``; ``stats`` reads its normalization defect off that mass.
+``u``).  All of them are weighted sums over one u-rule per spec, and so is
+each cell of the bias/variance surface.  One ``quadrature.adaptive_rule``
+call builds the rules of all specs at once (``_plans``; one spec is a
+batch of one): each rule is refined on its own until its mass, its moment
+integrands and its density at a few probe points are resolved, and its
+totals are the mass, the bias and ``E (z-q)^2``; ``stats`` reads its
+normalization defect off that mass.
 ``G`` is the CDF on the whole line, with no window behind it; quantiles
 bisect ``G`` up to the median and ``S`` above, from a bracket beyond which
 every node's normal is exactly 0.  Only ``stats(method="quadrature")``, the
@@ -28,7 +30,8 @@ cross-check, integrates the density over z, across the whole line.
 The u-rule and the z-quadrature run at one fixed accuracy: relative 1e-8
 (``_REL_TOL``), with at most 20 refinement rounds (``_MAX_REFINEMENTS``).
 Nothing is memoised: each entry point builds its spec's u-rule once and
-hands it down.  The approximation is validated for
+hands it down, and ``bias_variance_surface`` builds every cell's rule in
+one batch.  The approximation is validated for
 ``n >= 50`` and ``xi`` in [0, 0.5]; anything else must be requested
 explicitly and is flagged by a warning.
 """
@@ -46,24 +49,13 @@ from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
 from .mle import AsymptoticCovariance, asymptotic_covariance
-from .quadrature import adaptive_rule, integrate_adaptive
+from .quadrature import _WORKSPACE, adaptive_rule, integrate_adaptive
 
 # relative accuracy of the u-rule and the z-quadrature, and the cap on their
 # refinement rounds
 _REL_TOL = 1e-8
 _MAX_REFINEMENTS = 20
 
-# elements of the (u, z) block of one chunk of the u-sums.  A chunk of 32K
-# doubles is 256 KB and _erfc holds about eight arrays of that size at once,
-# so its ~30 elementwise passes stay in the 2 MB per-core L2 instead of
-# streaming through DRAM, and the allocator reuses the freed arrays; at 64K
-# it often hands them back to the OS and faults them in again.
-# cdf_of_estimator at fig-1 (960 u-nodes, the 2000 points of an R=2000
-# Monte Carlo) on a 2-vCPU Xeon.  Warm in one process, median of 15: 4M
-# 0.148 s, 1M 0.123, 256K 0.090, 128K 0.078, 64K 0.076, 32K 0.085, 16K
-# 0.092, 4K 0.171.  Cold in a fresh process, as in the CLI, median
-# [quartiles] of 20: 64K 0.102 s [0.079-0.137], 32K 0.084 s [0.073-0.090].
-_WORKSPACE = 32_768
 # the u-rule spans mu_u - 10 sd_u (u's mean and sd) to 10 sd_u above the peak of
 # the second-moment integrand, which psi^-2 ~ exp(2 t u) shifts 2 t sd_u^2 up
 _U_HALFWIDTH_SDS = 10.0
@@ -195,9 +187,22 @@ def _times_gauss(y: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.exp(-head * head) * np.exp(-(y - head) * (y + head)) * r
 
 
+class _Law(NamedTuple):
+    """The normal law of (u, v) that ``mle.asymptotic_covariance`` states, in
+    the form ``_conditional_law`` reads: the mean and sd of u, and the mean
+    of v, its slope on u and its sd given u.  Floats for one spec, or arrays
+    that broadcast with the nodes u."""
+
+    mu_u: float
+    sd_u: float
+    mu_v: float
+    slope: float
+    s: float
+
+
 class _Plan(NamedTuple):
     t: float
-    law: AsymptoticCovariance
+    law: _Law
     q_true: float
     mass: float
     mean: float
@@ -214,23 +219,30 @@ def _warn_if_unvalidated(spec: DensitySpec) -> None:
             OutsideValidatedRegionWarning, stacklevel=3)
 
 
-def _conditional_law(law: AsymptoticCovariance, t: float, u: np.ndarray):
+def _law(cov: AsymptoticCovariance) -> _Law:
+    (mu_u, mu_v), ((c00, c01), (_c10, c11)) = cov.mean_vector, cov.cov_matrix.tolist()
+    return _Law(mu_u, math.sqrt(c00), mu_v, c01 / c00, math.sqrt(c11 - c01 * c01 / c00))
+
+
+def _conditional_law(law: _Law, t, u: np.ndarray):
     """The normal ``law`` of (u, v) at the nodes ``u``: the density g of u,
-    psi(u), and the mean m(u) and sd s of the normal of v given u."""
-    (mu_u, mu_v), ((c00, c01), (_c10, c11)) = law.mean_vector, law.cov_matrix.tolist()
-    du, sd_u = u - mu_u, math.sqrt(c00)
-    g = np.exp(-0.5 * (du / sd_u) ** 2) / (sd_u * math.sqrt(2.0 * math.pi))
-    m = mu_v + (c01 / c00) * du
-    s = math.sqrt(c11 - c01 * c01 / c00)
-    return g, 1.0 / _scaled_expm1(u, t), m, s
+    psi(u), and the mean m(u) and sd s of the normal of v given u.  The
+    law's fields and ``t`` are floats or arrays that broadcast with ``u``."""
+    du = u - law.mu_u
+    g = np.exp(-0.5 * (du / law.sd_u) ** 2) / (law.sd_u * math.sqrt(2.0 * math.pi))
+    return g, 1.0 / _scaled_expm1(u, t), law.mu_v + law.slope * du, law.s
 
 
 def _integrand_matrix(cond, z: np.ndarray):
-    """``g psi phi((z psi - m)/s)/s`` on the (u, z) grid: the density's
-    integrand, whose weighted u-sum is f(z)."""
+    """``g psi phi((z psi - m)/s)/s`` on the (u, z) grid, or at one row of
+    z per node: the density's integrand, whose weighted u-sum is f(z)."""
     g, pu, m, s = cond
-    x = (pu / s)[:, None] * z[None, :] - (m / s)[:, None]
-    return (g * pu / (s * math.sqrt(2.0 * math.pi)))[:, None] * np.exp(-0.5 * x * x)
+    x = (pu / s)[:, None] * z - (m / s)[:, None]
+    out = -0.5 * x   # in place from here on: one block besides x
+    out *= x
+    np.exp(out, out=out)
+    out *= (g * pu / (s * math.sqrt(2.0 * math.pi)))[:, None]
+    return out
 
 
 def _u_sum(weights: np.ndarray, size: int, matrix) -> np.ndarray:
@@ -263,46 +275,66 @@ def _cdf_from_plan(plan: _Plan, q: np.ndarray, upper=False) -> np.ndarray:
 
 
 def _plan(spec: DensitySpec) -> _Plan:
-    """The spec's limiting law, its u-rule and moments from one adaptive Kronrod call.
+    """The plan of one spec: ``_plans`` of a batch of one."""
+    return _plans([spec])[0]
 
-    Over the truncated u-range the rule resolves, each to relative
+
+def _plans(specs) -> list[_Plan]:
+    """The specs' limiting laws, u-rules and moments from one adaptive Kronrod call.
+
+    Over each spec's truncated u-range its rule resolves, each to relative
     ``_REL_TOL``, the mass of u, the moment integrands ``g (m/psi - q)`` and
     ``g ((m/psi - q)^2 + (s/psi)^2)`` about the true quantile ``q``, and the
     density at the probes.  The bias is the first of those moments, so it is
     resolved directly, and the variance ``E (z-q)^2 - bias^2`` cancels
-    nothing.  Where the rounding of ``m/psi - q`` swamps the bias (n beyond
-    about 1e9), where psi^-2 overflows, or where the rule does not hold the
-    law's unit mass, the QuadratureError names the spec.
+    nothing.  The integrand gathers each node's law, ``t``, ``q`` and probes
+    by its spec, and every rule is refined on its own, so a spec's plan
+    does not depend on the rest of ``specs``.  Where the rounding of
+    ``m/psi - q`` swamps the bias (n beyond about 1e9), where psi^-2
+    overflows, or where the rule does not hold the law's unit mass, the
+    QuadratureError names the first such spec of ``specs``.
     """
-    t = -math.log1p(-spec.alpha.alpha)
-    params = GpdParams(spec.sigma, spec.xi)
-    law = asymptotic_covariance(params, spec.n)
-    q_true = quantile(params, spec.alpha)
-    mu_u, sd_u = law.mean_vector[0], math.sqrt(law.cov_matrix[0, 0])
-    lo = mu_u - _U_HALFWIDTH_SDS * sd_u
-    hi = mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * sd_u) * sd_u
+    rows = []
+    for spec in specs:
+        params = GpdParams(spec.sigma, spec.xi)
+        law = _law(asymptotic_covariance(params, spec.n))
+        t = -math.log1p(-spec.alpha.alpha)
+        rows.append((*law, t, quantile(params, spec.alpha),
+                     law.mu_u - _U_HALFWIDTH_SDS * law.sd_u,
+                     law.mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * law.sd_u) * law.sd_u))
+    # one row per field, one column per spec: the law, t, q_true, lo, hi
+    cells = np.array(rows, dtype=float).reshape(len(specs), 9).T
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _g, psi_k, m_k, _s = _conditional_law(law, t, mu_u + _PROBE_SDS * sd_u)
-        probes = m_k / psi_k
+        col = cells[:, :, None]
+        _g, psi_k, m_k, _s = _conditional_law(_Law(*col[:5]), col[5],
+                                              col[0] + _PROBE_SDS * col[1])
+        laws, probes = cells[:7], (m_k / psi_k).T
 
-        def integrands(u):
-            g, pu, m, s = cond = _conditional_law(law, t, u)
-            d = m / pu - q_true
+        def integrands(u, cell):
+            at = laws.take(cell, axis=1)
+            g, pu, m, s = cond = _conditional_law(_Law(*at[:5]), at[5], u)
+            d = m / pu - at[6]
             return np.column_stack([g, g * d, g * (d * d + (s / pu) ** 2),
-                                    _integrand_matrix(cond, probes)])
+                                    _integrand_matrix(cond, probes.take(cell, axis=1).T)])
 
         try:
             totals, _err, nodes, weights = adaptive_rule(
-                integrands, lo, hi, _REL_TOL, _MAX_REFINEMENTS)
+                integrands, cells[7], cells[8], _REL_TOL, _MAX_REFINEMENTS)
         except QuadratureError as exc:
+            _plans(specs[:exc.index])   # an earlier spec may fail its mass check
+            spec = specs[exc.index]
             raise QuadratureError(
                 f"u-rule failed at (n={spec.n}, xi={spec.xi}): {exc}") from exc
-    mass, bias, second = (float(v) for v in totals[:3])
-    if not abs(mass - 1.0) <= _REL_TOL:   # e.g. a u-range that rounds to a point
-        raise QuadratureError(
-            f"u-rule failed at (n={spec.n}, xi={spec.xi}): it holds mass {mass:.3g}")
-    return _Plan(t, law, q_true, mass, q_true + bias, second - bias * bias,
-                 nodes, weights)
+    plans = []
+    for spec, (*law, t, q_true, _lo, _hi), total, u_nodes, u_weights in zip(
+            specs, rows, totals, nodes, weights):
+        mass, bias, second = (float(v) for v in total[:3])
+        if not abs(mass - 1.0) <= _REL_TOL:   # e.g. a u-range that rounds to a point
+            raise QuadratureError(
+                f"u-rule failed at (n={spec.n}, xi={spec.xi}): it holds mass {mass:.3g}")
+        plans.append(_Plan(t, _Law(*law), q_true, mass, q_true + bias, second - bias * bias,
+                           u_nodes, u_weights))
+    return plans
 
 
 def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
@@ -408,16 +440,14 @@ def bias_variance_surface(n_values, xi_values, alpha: ConfidenceLevel,
                           sigma: float) -> BiasSurface:
     """Bias and variance over the (n, xi) grid, row-major by n then xi.
 
-    Each cell carries the u-rule moments that ``stats`` returns, taken from
-    the cell's plan; building the plan also checks that its u-rule resolves
-    to relative ``_REL_TOL`` within ``_MAX_REFINEMENTS`` refinements.
+    Every cell's spec is validated before any quadrature; then one
+    ``_plans`` call builds the u-rules of all cells, each resolved to
+    relative ``_REL_TOL`` within ``_MAX_REFINEMENTS`` refinements.  Each
+    cell carries the u-rule moments that ``stats`` returns for its spec.
     """
-    rows = []
-    for n in n_values:
-        for xi in xi_values:
-            spec = DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi))
-            plan = _plan(spec)
-            rows.append(SurfaceRow(n=int(n), xi=float(xi),
-                                   bias=plan.mean - plan.q_true,
-                                   variance=plan.var))
-    return BiasSurface(alpha=alpha, sigma=sigma, rows=tuple(rows))
+    specs = [DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi))
+             for n in n_values for xi in xi_values]
+    rows = tuple(SurfaceRow(n=spec.n, xi=spec.xi, bias=plan.mean - plan.q_true,
+                            variance=plan.var)
+                 for spec, plan in zip(specs, _plans(specs)))
+    return BiasSurface(alpha=alpha, sigma=sigma, rows=rows)

@@ -10,7 +10,14 @@ class NumericalError(RuntimeError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Adaptive quadrature could not reach the requested tolerance.
+
+    ``index`` is the failing interval of a batch (0 for a single interval).
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class OutsideValidatedRegionWarning(UserWarning):

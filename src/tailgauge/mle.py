@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .gpd import _TINY, GpdParams
 
 _log = logging.getLogger("tailgauge")
@@ -302,11 +302,20 @@ def asymptotic_covariance(p: GpdParams, n: int) -> AsymptoticCovariance:
 
     cov = ((1 + xi)/n) * [[1 + xi, -sigma], [-sigma, 2*sigma^2]], valid for
     xi > -0.5; the estimator law in ``density`` reads its normal from here.
+    Raises NumericalError when an entry overflows a double.
     """
     if p.xi <= -0.5:
         raise ValidationError(f"asymptotic covariance requires xi > -0.5, got {p.xi}")
     if not (math.isfinite(n) and n == int(n) >= 1):
         raise ValidationError(f"n must be a positive integer, got {n}")
     c = (1.0 + p.xi) / n
-    cov = c * np.array([[1.0 + p.xi, -p.sigma], [-p.sigma, 2.0 * p.sigma**2]])
-    return AsymptoticCovariance(mean_vector=(p.xi, p.sigma), cov_matrix=cov)
+    try:
+        cov = [c * (1.0 + p.xi), c * -p.sigma, c * -p.sigma, c * (2.0 * p.sigma**2)]
+    except OverflowError:   # sigma**2 beyond a double: a float power raises
+        cov = [math.inf]
+    if not all(map(math.isfinite, cov)):
+        raise NumericalError(
+            f"asymptotic covariance overflows a double at sigma={p.sigma:g}, "
+            f"xi={p.xi:g}, n={n}")
+    return AsymptoticCovariance(mean_vector=(p.xi, p.sigma),
+                                cov_matrix=np.reshape(cov, (2, 2)))

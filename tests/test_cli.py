@@ -350,6 +350,21 @@ class TestBiasTableCommand:
         assert sorted(set(rows[:, 0])) == [50.0, 100.0, 200.0]
         assert sorted(set(rows[:, 1])) == [0.0, 0.25, 0.5]
 
+    def test_every_cell_is_validated_before_any_quadrature(self, capsys):
+        # n = 1e12 alone fails its u-rule (exit 3); n = 10 is out of region
+        assert main(["bias-table", "--grid-n", "1e12,10"]) == 2
+        assert "n=10, xi=0.0) is outside the validated region" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--n", "100", "--xi", "0.25", "--sigma", "1e160"],
+    ["bias-table", "--grid-n", "100", "--grid-xi", "0.25", "--sigma", "1e300"],
+])
+def test_huge_sigma_exits_3(argv, capsys):
+    # 2 sigma^2 overflows the asymptotic covariance: a typed numerical error
+    assert main(argv) == 3
+    assert "asymptotic covariance overflows" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_report_and_histogram(self, tmp_path):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import tailgauge as tg
+from tailgauge.quadrature import adaptive_rule
 from tailgauge.density import (_ERFC_ZERO, _REL_TOL, _cdf_from_plan, _conditional_law,
-                               _erfc, _estimator_quantiles, _plan, evaluation_window)
+                               _erfc, _estimator_quantiles, _plan, _plans,
+                               evaluation_window)
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -420,12 +423,56 @@ class TestSurface:
             st = default_grid_stats[(r.n, r.xi)]
             assert (r.bias, r.variance) == (st.bias, st.variance)
 
+    def test_one_adaptive_rule_call_builds_every_cell(self, monkeypatch):
+        # the whole 20 x 6 grid is one batch, not a loop of per-cell rules
+        module = importlib.import_module("tailgauge.density")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return adaptive_rule(*args, **kwargs)
+
+        monkeypatch.setattr(module, "adaptive_rule", counted)
+        surf = tg.bias_variance_surface(tg.DEFAULT_N_GRID, tg.DEFAULT_XI_GRID, A999, 1.0)
+        assert len(surf.rows) == 120
+        assert calls == [120]
+
+    def test_empty_grid_is_an_empty_surface(self):
+        assert tg.bias_variance_surface([], tg.DEFAULT_XI_GRID, A999, 1.0).rows == ()
+
+    def test_failing_cell_is_named(self):
+        # the batch raises the error that the cell's own rule raises
+        msg = ("u-rule failed at (n=1000000000000, xi=0.25): panel budget exhausted "
+               "(10619 panels, err=2.30e-06 > rel_tol=1e-08)")
+        with pytest.raises(tg.QuadratureError) as exc:
+            tg.bias_variance_surface([100, 10**12], [0.25], A999, 1.0)
+        assert str(exc.value) == msg
+
+    @pytest.mark.parametrize("n_values, xi, named", [
+        ([10**12, 10**13], 0.25, "n=1000000000000, xi=0.25): panel budget"),
+        ([10**300, 10**12], 0.5, f"n={10**300}, xi=0.5): it holds mass 0"),
+        ([10**12, 10**300], 0.5, "n=1000000000000, xi=0.5): panel budget"),
+    ])
+    def test_first_failing_cell_in_row_major_order_is_named(self, n_values, xi, named):
+        # whichever way each cell fails: its panel budget, or the mass check
+        with pytest.raises(tg.QuadratureError, match=re.escape(named)):
+            tg.bias_variance_surface(n_values, [xi], A999, 1.0)
+
     def test_quadrature_failure_carries_coordinates(self, monkeypatch):
         module = importlib.import_module("tailgauge.density")
         monkeypatch.setattr(module, "_REL_TOL", 1e-15)
         monkeypatch.setattr(module, "_MAX_REFINEMENTS", 0)
         with pytest.raises(tg.QuadratureError, match="n=50"):
             tg.bias_variance_surface([50], [0.25], A999, 1.0)
+
+
+def test_batched_plans_equal_each_spec_plan_bitwise():
+    # a spec's plan does not depend on the rest of its batch
+    specs = [_spec(n, xi) for n in (50, 1000) for xi in (0.0, 0.5)] + [_spec(100, 0.25)]
+    for spec, batched in zip(specs, _plans(specs)):
+        alone = _plan(spec)
+        for field, a, b in zip(alone._fields, batched, alone):
+            np.testing.assert_array_equal(a, b, err_msg=f"{field} at {spec}")
 
 
 def test_accuracy_change_reaches_every_entry_point(monkeypatch, fig1_spec):
