@@ -49,7 +49,7 @@ from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
 from .mle import AsymptoticCovariance, asymptotic_covariance
-from .quadrature import _WORKSPACE, adaptive_rule, integrate_adaptive
+from .quadrature import _WORKSPACE, adaptive_rule
 
 # relative accuracy of the u-rule and the z-quadrature, and the cap on their
 # refinement rounds
@@ -405,8 +405,10 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     ``|E_u 1 - 1|``, the mass of f over the whole line, from the u-rule's
     totals.  ``method="quadrature"`` integrates (f, (z-q) f, (z-q)^2 f) over
     the whole line, mapped onto (-1, 1), the independent cross-check; it
-    runs to relative ``_REL_TOL`` in at most ``_MAX_REFINEMENTS`` rounds,
-    and the two methods agree to that accuracy.
+    runs to relative ``_REL_TOL`` in at most ``_MAX_REFINEMENTS`` rounds.
+    Inside the validated region the two methods agree to that accuracy;
+    outside it the cross-check may raise QuadratureError where the default
+    succeeds.
     """
     if method not in ("hermite", "quadrature"):
         raise ValidationError(f"unknown stats method {method!r}")
@@ -417,14 +419,14 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     else:
         h = math.sqrt(plan.var)
 
-        def moment_parts(x):   # z - q = h x/(1 - x^2) maps (-1, 1) onto the line
+        def moment_parts(x, _cell):   # z - q = h x/(1 - x^2) maps (-1, 1) onto the line
             w = 1.0 - x * x
             d = h * x / w
             fj = _density_from_plan(plan, plan.q_true + d) * (h * (1.0 + x * x) / (w * w))
             return np.column_stack([fj, d * fj, d * d * fj])
 
-        totals, _err = integrate_adaptive(moment_parts, -1.0, 1.0,
-                                          rel_tol=_REL_TOL, max_rounds=_MAX_REFINEMENTS)
+        totals, _err, _nodes, _weights = adaptive_rule(moment_parts, -1.0, 1.0,
+                                                       _REL_TOL, _MAX_REFINEMENTS)
         mass, bias, second = (float(v) for v in totals)
         mean, var = plan.q_true + bias, second - bias * bias
     return QuantileStats(

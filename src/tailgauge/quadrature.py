@@ -6,12 +6,13 @@ panels whose error exceeds their share of their interval's budget, and the
 new panels of every interval are evaluated together, in chunks of at most
 ``_WORKSPACE`` integrand values.  Integrands map a node array to one value
 per node (scalar mode) or to a (nodes, K) block (vector mode, K components
-integrated simultaneously over the same panels).  ``adaptive_rule`` refines
-a batch of intervals side by side, each to its own tolerance, round cap and
-panel budget, and hands back each one's converged panels as one flat
-(nodes, weights) rule, for sums of other integrands that the same panels
-resolve.  An interval's rule and totals do not depend on the rest of its
-batch.
+integrated simultaneously over the same panels).  ``adaptive_rule``, the one
+entry point, refines a batch of intervals side by side, each to its own
+tolerance, round cap and panel budget.  Every interval's panels stay in one
+state to the last round, and one that converges or fails is split no more;
+then each interval's panels are cut into one flat (nodes, weights) rule, for
+sums of other integrands that the same panels resolve.  An interval's rule
+and totals do not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -94,110 +95,79 @@ def adaptive_rule(f, lo, hi, rel_tol: float, max_rounds: int = 20):
     """
     lo_b = np.atleast_1d(np.asarray(lo, dtype=float))
     hi_b = np.atleast_1d(np.asarray(hi, dtype=float))
+    if not lo_b.size:   # an empty batch
+        return np.empty(0), np.empty(0), [], []
     # np.linspace's edges, interval by interval: a batched np.linspace
     # rescales every interval once one of them has a zero step
     edges = (np.arange(_INIT_PANELS + 1.0) * ((hi_b - lo_b) / _INIT_PANELS)[:, None]
              + lo_b[:, None])
     edges[:, -1] = hi_b
-    # the intervals still refined, by index ``owner`` and panel ``count``,
-    # and their panels, grouped by interval, each group in the order that
-    # refining its interval alone would leave it
-    owner = np.arange(lo_b.size)
-    count = np.full(lo_b.size, _INIT_PANELS)
+    # the panels of every interval, converged and failed ones too, grouped by
+    # interval ``owner`` in the order that refining it alone would leave them
     p_lo, p_hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    vals, errs, step = _eval_panels(f, p_lo, p_hi, owner.repeat(_INIT_PANELS),
-                                    _INIT_PANELS)
-    totals = np.empty(lo_b.shape + vals.shape[1:])
-    errors = np.empty_like(totals)
-    nodes, weights, failures = [None] * lo_b.size, [None] * lo_b.size, {}
+    owner = np.arange(lo_b.size).repeat(_INIT_PANELS)
+    vals, errs, step = _eval_panels(f, p_lo, p_hi, owner, _INIT_PANELS)
+    failed, failures = np.zeros(lo_b.size, dtype=bool), {}
 
     rounds = 0
-    while owner.size:
+    while True:
+        count = np.bincount(owner)
         first = count.cumsum() - count
         total = np.add.reduceat(vals, first, axis=0)
         err = np.add.reduceat(errs, first, axis=0)
         scale = np.maximum(np.abs(total), 1e-300)
-        done = (err <= rel_tol * scale).reshape(owner.size, -1).all(axis=1)
-        if done.any():   # converged intervals leave with their rules
-            totals[owner[done]], errors[owner[done]] = total[done], err[done]
-            mine = done.repeat(count)
-            for i, rule in zip(owner[done].tolist(),
-                               _rules(p_lo[mine], p_hi[mine], count[done])):
-                nodes[i], weights[i] = rule
-            if done.all():
-                break
-            stay, mine = ~done, ~mine
-            p_lo, p_hi = p_lo[mine], p_hi[mine]
-            vals = vals[mine]   # one at a time: one spare copy of the state
-            errs = errs[mine]
-            owner, count, err, scale = owner[stay], count[stay], err[stay], scale[stay]
-            first = count.cumsum() - count
+        live = ~failed & ~(err <= rel_tol * scale).reshape(lo_b.size, -1).all(axis=1)
+        if not live.any():
+            break
         if rounds > max_rounds:
-            for j, i in enumerate(owner.tolist()):
-                worst = float(np.max(err[j] / scale[j]))
+            for i in np.flatnonzero(live).tolist():
+                worst = float(np.max(err[i] / scale[i]))
                 detail = (f"err={worst:.2e} > rel_tol={rel_tol}" if np.isfinite(worst)
                           else f"the integrand is not finite on "
                                f"[{lo_b[i]:.6g}, {hi_b[i]:.6g}]")
                 failures[i] = (f"no convergence after {rounds} refinement rounds "
                                f"({detail})")
             break
-        # bisect every panel holding more than its per-panel share of budget
+        # bisect every live panel holding more than its per-panel share of budget
         norm = (errs / scale.repeat(count, axis=0)).reshape(len(errs), -1).max(axis=1)
-        bad = norm > (rel_tol / count).repeat(count)
+        bad = (norm > (rel_tol / count).repeat(count)) & live.repeat(count)
         split = np.add.reduceat(bad, first, dtype=np.intp)
-        if not split.all():   # np.argmax's panel where none is over its share
-            for j in np.flatnonzero(split == 0):
-                bad[first[j] + np.argmax(norm[first[j]:first[j] + count[j]])] = True
-            split[split == 0] = 1
-        over = count + split > MAX_PANELS
-        if over.any():   # these fail; the rest are refined
-            for j in np.flatnonzero(over):
-                failures[int(owner[j])] = (
-                    f"panel budget exhausted ({count[j]} panels, "
-                    f"err={float(np.max(err[j] / scale[j])):.2e} > rel_tol={rel_tol})")
-            if over.all():
-                break
-            stay = ~over
-            mine = stay.repeat(count)
-            p_lo, p_hi, vals, errs, bad = (a[mine] for a in (p_lo, p_hi, vals, errs, bad))
-            owner, count, split = owner[stay], count[stay], split[stay]
+        for i in np.flatnonzero(live & (split == 0)):   # np.argmax's panel instead
+            bad[first[i] + np.argmax(norm[first[i]:first[i] + count[i]])] = True
+            split[i] = 1
+        for i in np.flatnonzero(count + split > MAX_PANELS).tolist():   # fail unsplit
+            failures[i] = (
+                f"panel budget exhausted ({count[i]} panels, "
+                f"err={float(np.max(err[i] / scale[i])):.2e} > rel_tol={rel_tol})")
+            failed[i] = True
+            bad[first[i]:first[i] + count[i]] = False
+        if not bad.any():   # every live interval failed this round
+            break
         kept = ~bad
         vals, errs = vals.compress(kept, axis=0), errs.compress(kept, axis=0)
         mid = 0.5 * (p_lo[bad] + p_hi[bad])
         p_lo = np.concatenate([p_lo[kept], p_lo[bad], mid])
         p_hi = np.concatenate([p_hi[kept], mid, p_hi[bad]])
-        halves = owner.repeat(split)
+        owner = np.concatenate([owner[kept], owner[bad], owner[bad]])
         add_v, add_e, step = _eval_panels(f, p_lo[len(vals):], p_hi[len(vals):],
-                                          np.concatenate([halves, halves]), step)
+                                          owner[len(vals):], step)
         vals = np.concatenate([vals, add_v])
         errs = np.concatenate([errs, add_e])
         del add_v, add_e   # not held through the next round's evaluation
-        if owner.size > 1:   # regroup: kept panels, left halves, right halves
-            seg = np.arange(owner.size)
-            key = np.concatenate([seg.repeat(count - split), seg.repeat(split),
-                                  seg.repeat(split)])
-            order = np.argsort(key, kind="stable")
-            p_lo, p_hi = p_lo[order], p_hi[order]
-            vals = vals[order]   # one at a time: one spare copy of the state
-            errs = errs[order]
-        count = count + split
+        # regroup by interval: kept panels, left halves, right halves
+        order = np.argsort(owner, kind="stable")
+        p_lo, p_hi, owner = p_lo[order], p_hi[order], owner[order]
+        vals = vals[order]   # one at a time: one spare copy of the state
+        errs = errs[order]
         rounds += 1
 
     if failures:
         first_failure = min(failures)
         raise QuadratureError(failures[first_failure], index=first_failure)
+    nodes, weights = zip(*_rules(p_lo, p_hi, count))
     if np.ndim(lo) == 0:
-        return totals[0], errors[0], nodes[0], weights[0]
-    return totals, errors, nodes, weights
-
-
-def integrate_adaptive(f, lo: float, hi: float, rel_tol: float,
-                       max_rounds: int = 20):
-    """(integral, error_estimate) of ``adaptive_rule`` for the one-argument
-    ``f(x)`` on one interval, without its rule."""
-    total, err, _nodes, _weights = adaptive_rule(lambda x, _cell: f(x), lo, hi,
-                                                 rel_tol, max_rounds)
-    return total, err
+        return total[0], err[0], nodes[0], weights[0]
+    return total, err, list(nodes), list(weights)
 
 
 def _rules(lo: np.ndarray, hi: np.ndarray, count: np.ndarray) -> list:
@@ -226,6 +196,4 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray, cell: np.ndarray, step: int)
         step = max(1, _WORKSPACE // (fv.size // len(nodes)))
     if len(vals) == 1:
         return vals[0], errs[0], step
-    if not vals:   # an empty batch
-        return np.empty(0), np.empty(0), step
     return np.concatenate(vals), np.concatenate(errs), step

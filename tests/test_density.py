@@ -507,20 +507,37 @@ def test_moments_against_scipy_z_integration(fig1_spec):
 def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
     # only the stats(method="quadrature") cross-check integrates over z; the
     # windows, the CDF and default stats come from the u-sums
+    # (u-rules have array ends, the z-quadrature is the one call on (-1, 1))
     module = importlib.import_module("tailgauge.density")
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("z-quadrature called")
+    def spy(f, lo, hi, *args):
+        calls.append((lo, hi))
+        return adaptive_rule(f, lo, hi, *args)
 
-    monkeypatch.setattr(module, "integrate_adaptive", refuse)
+    monkeypatch.setattr(module, "adaptive_rule", spy)
     spec = _spec(n, xi)
     plan = _plan(spec)
     lo, hi = evaluation_window(spec)
     assert lo < plan.q_true < hi
     assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
     assert tg.stats(spec).normalization_defect <= 1e-6
-    with pytest.raises(AssertionError, match="z-quadrature"):
-        tg.stats(spec, method="quadrature")
+    assert calls and all(np.ndim(a) == 1 for a, _b in calls)
+    u_calls = len(calls)
+    tg.stats(spec, method="quadrature")
+    assert len(calls) == u_calls + 2 and np.ndim(calls[-2][0]) == 1
+    assert calls[-1] == (-1.0, 1.0)
+
+
+def test_cross_check_raises_outside_the_validated_region():
+    # at (10, 1.0) the u-rule moments exist, but the whole-line z-quadrature
+    # does not resolve the heavy tail: a typed error, not a number
+    spec = _spec(10, 1.0, allow_unvalidated=True)
+    with pytest.warns(tg.OutsideValidatedRegionWarning):
+        st = tg.stats(spec)
+        assert math.isfinite(st.mean) and math.isfinite(st.variance)
+        with pytest.raises(tg.QuadratureError, match="no convergence"):
+            tg.stats(spec, method="quadrature")
 
 
 @pytest.mark.parametrize("n, xi, ulps", [(100, 0.25, 0), (50, 0.0, 0), (50, 0.5, 2)])

@@ -6,15 +6,14 @@ import pytest
 
 import tailgauge as tg
 from tailgauge import quadrature
-from tailgauge.quadrature import (KRONROD_WEIGHTS, _panel_sums, adaptive_rule,
-                                  integrate_adaptive, panel_nodes)
+from tailgauge.quadrature import KRONROD_WEIGHTS, _panel_sums, adaptive_rule, panel_nodes
 
 
 def test_refinement_of_the_last_round_is_checked():
     # the 8 starting panels miss 1e-12; the one refinement max_rounds=0
     # allows meets it, and must be accepted rather than reported as a failure
-    total, err = integrate_adaptive(lambda x: np.exp(-x * x), -6.0, 6.0,
-                                    rel_tol=1e-12, max_rounds=0)
+    total, err, _nodes, _weights = adaptive_rule(lambda x, _c: np.exp(-x * x), -6.0, 6.0,
+                                                 rel_tol=1e-12, max_rounds=0)
     assert total == pytest.approx(math.sqrt(math.pi) * math.erf(6.0), rel=1e-13)
     assert err <= 1e-12 * total
 
@@ -22,11 +21,11 @@ def test_refinement_of_the_last_round_is_checked():
 def test_vector_mode_against_closed_forms():
     a = 6.0
 
-    def f(x):
+    def f(x, _cell):
         g = np.exp(-x * x)
         return np.stack([g, x * x * g, np.cos(x) ** 2], axis=-1)
 
-    total, err = integrate_adaptive(f, -a, a, rel_tol=1e-12)
+    total, err, _nodes, _weights = adaptive_rule(f, -a, a, rel_tol=1e-12)
     exact = [math.sqrt(math.pi) * math.erf(a),
              0.5 * math.sqrt(math.pi) * math.erf(a) - a * math.exp(-a * a),
              a + 0.5 * math.sin(2.0 * a)]
@@ -38,8 +37,8 @@ def test_vector_mode_against_closed_forms():
 def test_panel_budget_exhaustion_raises():
     # 1.6e5 periods on [0, 1] cannot be resolved within MAX_PANELS panels
     with pytest.raises(tg.QuadratureError, match="panel budget exhausted"):
-        integrate_adaptive(lambda x: 1.0 + np.sin(1e6 * x), 0.0, 1.0,
-                           rel_tol=1e-12, max_rounds=100)
+        adaptive_rule(lambda x, _c: 1.0 + np.sin(1e6 * x), 0.0, 1.0,
+                      rel_tol=1e-12, max_rounds=100)
 
 
 def _gauss(vector):
@@ -72,6 +71,11 @@ def test_batch_gives_each_interval_its_own_rule_bitwise(vector):
         np.testing.assert_array_equal(errs[i], alone[1])
         np.testing.assert_array_equal(nodes[i], alone[2])
         np.testing.assert_array_equal(weights[i], alone[3])
+        # and as the plain single-interval loop, an engine of its own
+        total, ref_nodes, ref_weights = _lone_rule(f, lo[i], hi[i], rel_tol=1e-12)
+        np.testing.assert_array_equal(nodes[i], ref_nodes)
+        np.testing.assert_array_equal(weights[i], ref_weights)
+        np.testing.assert_allclose(totals[i], total, rtol=1e-14, atol=0.0)
 
 
 def test_integrand_sees_each_node_interval():
@@ -131,6 +135,28 @@ def test_first_failing_interval_is_reported():
                       rel_tol=1e-12, max_rounds=3)
     assert str(exc.value) == str(alone.value)
     assert "the integrand is not finite on [0, 1]" in str(exc.value)
+
+
+def test_failed_interval_is_frozen_while_the_rest_refine(monkeypatch):
+    # the periodic integrand runs out of 40 panels on [0, 1]; its panels are
+    # split no more, while (-40, 40) refines for another round, and the error
+    # is the lone call's
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 40)
+    calls = []
+
+    def f(x, cell):
+        calls.append(set(cell.tolist()))
+        return np.where(cell == 1, 1.0 + np.sin(1e3 * x), np.exp(-x * x))
+
+    with pytest.raises(tg.QuadratureError, match="panel budget exhausted") as exc:
+        adaptive_rule(f, np.array([-6.0, 0.0, -3.0, -40.0]), np.array([6.0, 1.0, 3.0, 40.0]),
+                      rel_tol=1e-12)
+    assert exc.value.index == 1
+    with pytest.raises(tg.QuadratureError) as alone:
+        adaptive_rule(lambda x, _c: 1.0 + np.sin(1e3 * x), 0.0, 1.0, rel_tol=1e-12)
+    assert str(exc.value) == str(alone.value)
+    last = max(k for k, cells in enumerate(calls) if 1 in cells)
+    assert any(3 in cells for cells in calls[last + 1:])
 
 
 def test_empty_batch():
