@@ -22,7 +22,7 @@ from .bias import (BiasLawParams, PRACTICAL_ALPHA, PRACTICAL_PARAMS, bias_law,
                    bias_practical, fit_bias_law)
 from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, VALIDATED_MIN_N,
                       VALIDATED_XI, DensitySpec, _density_from_plan,
-                      _estimator_quantiles, _plan, _warn_if_unvalidated,
+                      _estimator_quantiles, _moments, _plan, _warn_if_unvalidated,
                       bias_variance_surface)
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, quantile
@@ -243,9 +243,9 @@ def cmd_fit(args: argparse.Namespace) -> None:
         b_applied = est.sigma_hat * b_practical
         law_source = "practical_sigma_scaled"
     else:
-        plan = _plan(DensitySpec(n=sel.n_hat, alpha=alpha, sigma=est.sigma_hat,
-                                 xi=est.xi_hat, allow_unvalidated=True))
-        b_applied = plan.mean - plan.q_true
+        q, bias, _var = _moments(DensitySpec(n=sel.n_hat, alpha=alpha, sigma=est.sigma_hat,
+                                             xi=est.xi_hat, allow_unvalidated=True))
+        b_applied = (q + bias) - q   # the bias as stats reports it
         law_source = "estimator_law"
     q_tilde = q_hat - b_applied
     q_big_tilde = parent_quantile_from_tail_quantile(tf, q_tilde, alpha)

@@ -5,35 +5,32 @@ approximated by pushing the limiting bivariate normal of the parameter
 estimators ``(u, v) = (xi_hat, sigma_hat)``, the one ``mle.asymptotic_covariance``
 states, through the quantile map ``z = v / psi(u)``, with
 ``psi(u) = u / ((1-alpha)**(-u) - 1) > 0``.  Given ``u``, ``v`` is normal with
-the conditional mean ``m(u)`` and sd ``s`` of that law.  Every output is an
-expectation over ``u`` of that conditional normal:
+the conditional mean ``m(u)`` and sd ``s`` of that law.  The density and the
+CDF are expectations over ``u`` of that conditional normal:
 
     density    f(z) = E_u psi(u) phi((z psi(u) - m(u))/s) / s
     CDF        G(z) = E_u Phi((z psi(u) - m(u))/s)
     survival   S(z) = E_u Phi(-(z psi(u) - m(u))/s)
     mass       1 = E_u 1
-    moments    E (z-q) = E_u (m/psi - q),  E (z-q)^2 = E_u ((m/psi - q)^2 + (s/psi)^2)
 
-about the true quantile ``q`` (the density is the paper's formula with its
-exponent split into the normal densities of ``u`` and of ``v`` given
-``u``).  All of them are weighted sums over one u-rule per spec, and so is
-each cell of the bias/variance surface.  One ``quadrature.adaptive_rule``
-call builds the rules of all specs at once (``_plans``; one spec is a
-batch of one): each rule is refined on its own until its mass, its moment
-integrands and its density at a few probe points are resolved, and its
-totals are the mass, the bias and ``E (z-q)^2``; ``stats`` reads its
-normalization defect off that mass.
+(the density is the paper's formula with its exponent split into the normal
+densities of ``u`` and of ``v`` given ``u``).  All of them are weighted sums
+over one adaptive u-rule per spec (``_plan``), refined until its mass and its
+density at a few probe points are resolved; ``stats`` reads its
+normalization defect off that mass.  The moments need no u-rule: with
+``1/psi(u) = int_0^t e^{ru} dr`` they are exact 1-D integrals over ``r`` of
+the normal's moment generating function (``_moments``), about the true
+quantile ``q``, so nothing cancels at any ``n``; the bias/variance surface
+and ``fit``'s bias read them alone.
 ``G`` is the CDF on the whole line, with no window behind it; quantiles
 bisect ``G`` up to the median and ``S`` above, from a bracket beyond which
 every node's normal is exactly 0.  Only ``stats(method="quadrature")``, the
 cross-check, integrates the density over z, across the whole line.
-The u-rule and the z-quadrature run at one fixed accuracy: relative 1e-8
-(``_REL_TOL``), with at most 20 refinement rounds (``_MAX_REFINEMENTS``).
-Nothing is memoised: each entry point builds its spec's u-rule once and
-hands it down, and ``bias_variance_surface`` builds every cell's rule in
-one batch.  The approximation is validated for
-``n >= 50`` and ``xi`` in [0, 0.5]; anything else must be requested
-explicitly and is flagged by a warning.
+Every rule runs at one fixed accuracy: relative 1e-8 (``_REL_TOL``), with at
+most 20 refinement rounds (``_MAX_REFINEMENTS``).  Nothing is memoised: each
+entry point builds its spec's u-rule once and hands it down.  The
+approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5]; anything
+else must be requested explicitly and is flagged by a warning.
 """
 
 from __future__ import annotations
@@ -48,16 +45,19 @@ import numpy as np
 from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
-from .mle import AsymptoticCovariance, asymptotic_covariance
+from .mle import _check_size, asymptotic_covariance
 from .quadrature import _WORKSPACE, adaptive_rule
 
-# relative accuracy of the u-rule and the z-quadrature, and the cap on their
-# refinement rounds
+# relative accuracy of the u-rule, the r-rule of the moments and the
+# z-quadrature, and the cap on their refinement rounds
 _REL_TOL = 1e-8
 _MAX_REFINEMENTS = 20
 
-# the u-rule spans mu_u - 10 sd_u (u's mean and sd) to 10 sd_u above the peak of
-# the second-moment integrand, which psi^-2 ~ exp(2 t u) shifts 2 t sd_u^2 up
+# the u-rule spans mu_u - 10 sd_u (u's mean and sd) to 10 sd_u above
+# mu_u + 2 t sd_u^2, the peak of g psi^-2 ~ g exp(2 t u).  The mass and the
+# probes need less, but mu_u +- 10 sd_u moves the estimator's 1e-12 quantile
+# by up to 1.5e-10 relative on the 20x11 grid, so the range stays and the
+# outputs stay stable to the bit
 _U_HALFWIDTH_SDS = 10.0
 # the u-rule also resolves the density at the images m(u)/psi(u) of the
 # u-quantiles mu_u + k sd_u, which follow the skewed law from its mode out to
@@ -114,8 +114,7 @@ class DensitySpec:
     allow_unvalidated: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.n) and self.n == int(self.n) >= 1):
-            raise ValidationError(f"n must be a positive integer, got {self.n}")
+        _check_size(self.n)
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValidationError(f"sigma must be positive, got {self.sigma}")
         if not math.isfinite(self.xi) or self.xi <= -0.5:
@@ -205,8 +204,7 @@ class _Plan(NamedTuple):
     law: _Law
     q_true: float
     mass: float
-    mean: float
-    var: float
+    bracket: tuple[float, float]   # G is 0 below it and S is 0 above it
     u_nodes: np.ndarray
     u_weights: np.ndarray
 
@@ -219,9 +217,14 @@ def _warn_if_unvalidated(spec: DensitySpec) -> None:
             OutsideValidatedRegionWarning, stacklevel=3)
 
 
-def _law(cov: AsymptoticCovariance) -> _Law:
+def _spec_law(spec: DensitySpec) -> tuple[_Law, float, float]:
+    """The spec's ``_Law``, ``t = -log(1 - alpha)`` and true quantile q."""
+    params = GpdParams(spec.sigma, spec.xi)
+    cov = asymptotic_covariance(params, spec.n)
     (mu_u, mu_v), ((c00, c01), (_c10, c11)) = cov.mean_vector, cov.cov_matrix.tolist()
-    return _Law(mu_u, math.sqrt(c00), mu_v, c01 / c00, math.sqrt(c11 - c01 * c01 / c00))
+    slope = c01 / c00
+    law = _Law(mu_u, math.sqrt(c00), mu_v, slope, math.sqrt(c11 - c01 * slope))
+    return law, -math.log1p(-spec.alpha.alpha), quantile(params, spec.alpha)
 
 
 def _conditional_law(law: _Law, t, u: np.ndarray):
@@ -234,8 +237,8 @@ def _conditional_law(law: _Law, t, u: np.ndarray):
 
 
 def _integrand_matrix(cond, z: np.ndarray):
-    """``g psi phi((z psi - m)/s)/s`` on the (u, z) grid, or at one row of
-    z per node: the density's integrand, whose weighted u-sum is f(z)."""
+    """``g psi phi((z psi - m)/s)/s`` on the (u, z) grid: the density's
+    integrand, whose weighted u-sum is f(z)."""
     g, pu, m, s = cond
     x = (pu / s)[:, None] * z - (m / s)[:, None]
     out = -0.5 * x   # in place from here on: one block besides x
@@ -275,66 +278,91 @@ def _cdf_from_plan(plan: _Plan, q: np.ndarray, upper=False) -> np.ndarray:
 
 
 def _plan(spec: DensitySpec) -> _Plan:
-    """The plan of one spec: ``_plans`` of a batch of one."""
-    return _plans([spec])[0]
+    """The spec's limiting law and its u-rule, from one adaptive Kronrod call.
 
-
-def _plans(specs) -> list[_Plan]:
-    """The specs' limiting laws, u-rules and moments from one adaptive Kronrod call.
-
-    Over each spec's truncated u-range its rule resolves, each to relative
-    ``_REL_TOL``, the mass of u, the moment integrands ``g (m/psi - q)`` and
-    ``g ((m/psi - q)^2 + (s/psi)^2)`` about the true quantile ``q``, and the
-    density at the probes.  The bias is the first of those moments, so it is
-    resolved directly, and the variance ``E (z-q)^2 - bias^2`` cancels
-    nothing.  The integrand gathers each node's law, ``t``, ``q`` and probes
-    by its spec, and every rule is refined on its own, so a spec's plan
-    does not depend on the rest of ``specs``.  Where the rounding of
-    ``m/psi - q`` swamps the bias (n beyond about 1e9), where psi^-2
-    overflows, or where the rule does not hold the law's unit mass, the
-    QuadratureError names the first such spec of ``specs``.
+    Over the truncated u-range the rule resolves, to relative ``_REL_TOL``,
+    the mass of u and the density at the probes.  Where it does not, where
+    it does not hold the law's unit mass, or where its quantile bracket is
+    not finite (psi underflows on the u-range), the QuadratureError names
+    the spec.
     """
-    rows = []
-    for spec in specs:
-        params = GpdParams(spec.sigma, spec.xi)
-        law = _law(asymptotic_covariance(params, spec.n))
-        t = -math.log1p(-spec.alpha.alpha)
-        rows.append((*law, t, quantile(params, spec.alpha),
-                     law.mu_u - _U_HALFWIDTH_SDS * law.sd_u,
-                     law.mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * law.sd_u) * law.sd_u))
-    # one row per field, one column per spec: the law, t, q_true, lo, hi
-    cells = np.array(rows, dtype=float).reshape(len(specs), 9).T
+    law, t, q_true = _spec_law(spec)
+    failed = f"u-rule failed at (n={spec.n}, xi={spec.xi})"
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        col = cells[:, :, None]
-        _g, psi_k, m_k, _s = _conditional_law(_Law(*col[:5]), col[5],
-                                              col[0] + _PROBE_SDS * col[1])
-        laws, probes = cells[:7], (m_k / psi_k).T
+        _g, psi_k, m_k, _s = _conditional_law(law, t, law.mu_u + _PROBE_SDS * law.sd_u)
+        probes = m_k / psi_k
 
-        def integrands(u, cell):
-            at = laws.take(cell, axis=1)
-            g, pu, m, s = cond = _conditional_law(_Law(*at[:5]), at[5], u)
-            d = m / pu - at[6]
-            return np.column_stack([g, g * d, g * (d * d + (s / pu) ** 2),
-                                    _integrand_matrix(cond, probes.take(cell, axis=1).T)])
+        def integrands(u):
+            cond = _conditional_law(law, t, u)
+            return np.column_stack([cond[0], _integrand_matrix(cond, probes)])
 
         try:
-            totals, _err, nodes, weights = adaptive_rule(
-                integrands, cells[7], cells[8], _REL_TOL, _MAX_REFINEMENTS)
+            total, _err, u_nodes, u_weights = adaptive_rule(
+                integrands, law.mu_u - _U_HALFWIDTH_SDS * law.sd_u,
+                law.mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * law.sd_u) * law.sd_u,
+                _REL_TOL, _MAX_REFINEMENTS)
         except QuadratureError as exc:
-            _plans(specs[:exc.index])   # an earlier spec may fail its mass check
-            spec = specs[exc.index]
-            raise QuadratureError(
-                f"u-rule failed at (n={spec.n}, xi={spec.xi}): {exc}") from exc
-    plans = []
-    for spec, (*law, t, q_true, _lo, _hi), total, u_nodes, u_weights in zip(
-            specs, rows, totals, nodes, weights):
-        mass, bias, second = (float(v) for v in total[:3])
+            raise QuadratureError(f"{failed}: {exc}") from exc
+        mass = float(total[0])
         if not abs(mass - 1.0) <= _REL_TOL:   # e.g. a u-range that rounds to a point
-            raise QuadratureError(
-                f"u-rule failed at (n={spec.n}, xi={spec.xi}): it holds mass {mass:.3g}")
-        plans.append(_Plan(t, _Law(*law), q_true, mass, q_true + bias, second - bias * bias,
-                           u_nodes, u_weights))
-    return plans
+            raise QuadratureError(f"{failed}: it holds mass {mass:.3g}")
+        # with K = _ERFC_ZERO sqrt(2), every node's erfc argument reaches
+        # _ERFC_ZERO below min((m - K s)/psi) and above max((m + K s)/psi)
+        _g, pu, m, s = _conditional_law(law, t, u_nodes)
+        reach = _ERFC_ZERO * math.sqrt(2.0) * s
+        bracket = float(np.min((m - reach) / pu)), float(np.max((m + reach) / pu))
+    if not all(map(math.isfinite, bracket)):
+        raise QuadratureError(f"{failed}: its quantile bracket is not finite")
+    return _Plan(t, law, q_true, mass, bracket, u_nodes, u_weights)
+
+
+def _moments(spec: DensitySpec) -> tuple[float, float, float]:
+    """The true quantile q and the exact bias and variance of the estimator
+    law about it, from one adaptive Kronrod rule in r.
+
+    With ``1/psi(u) = int_0^t e^{ru} dr``, the normal's moment generating
+    function ``E e^{ru} = e^{r mu_u + h}`` (``h = r^2 v/2``, ``v = sd_u^2``)
+    and Stein's lemma ``E (u - mu_u) e^{ru} = r v E e^{ru}``, the law
+    centred at ``(mu_u, S) = (xi, sigma)`` with slope ``c`` and conditional
+    sd ``s`` gives, with nothing that cancels,
+
+        bias        = int_0^t e^{r xi} [S expm1(h) + c r v e^h] dr
+        E z^2 - q^2 = int_0^2t min(r, 2t - r) e^{r xi}
+                      [S^2 expm1(h) + e^h (2 S c r v + c^2 r^2 v^2 + c^2 v + s^2)] dr
+
+    (the triangle weight is ``1/psi^2 = int int e^{(a+b)u} da db``), and the
+    variance ``(E z^2 - q^2) - 2 q bias - bias^2``.  Both integrals run on
+    x in [0, 1]: r = t x, and the triangle folded at its kink as r = t x and
+    r = t (1 + x).  The QuadratureError names the spec where they do not
+    resolve (they overflow a double at tiny n and large xi) or where the
+    variance overflows.
+    """
+    law, t, q = _spec_law(spec)
+    v, c, sv = law.sd_u ** 2, law.slope, law.mu_v
+    failed = f"moments failed at (n={spec.n}, xi={spec.xi})"
+
+    def parts(r):   # the integrands of the bias and of E z^2 - q^2 at r
+        h = 0.5 * v * r * r
+        tilt, grow, rise, crv = np.exp(law.mu_u * r), np.exp(h), np.expm1(h), c * r * v
+        return (tilt * (sv * rise + crv * grow),
+                tilt * (sv * sv * rise
+                        + grow * (crv * (2.0 * sv + crv) + c * c * v + law.s * law.s)))
+
+    def integrands(x):
+        bias, low = parts(t * x)
+        _bias, high = parts(t * (1.0 + x))
+        return np.column_stack([t * bias, t * t * (x * low + (1.0 - x) * high)])
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            (bias, second), _err, _x, _w = adaptive_rule(integrands, 0.0, 1.0, _REL_TOL,
+                                                         _MAX_REFINEMENTS)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{failed}: {exc}") from exc
+    var = float(second - 2.0 * q * bias - bias * bias)
+    if not math.isfinite(var):
+        raise QuadratureError(f"{failed}: the variance overflows a double")
+    return q, float(bias), var
 
 
 def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
@@ -349,10 +377,8 @@ def _estimator_quantiles(plan: _Plan, probs) -> np.ndarray:
     """Quantiles of ``cdf_of_estimator`` at ``probs`` in (0, 1): ``G(q) = p``
     for ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an
     ulp of 1, bisected to adjacent doubles; each step is one u-sum that
-    takes G and S together.  The bracket is read off the u-rule: with
-    ``K = _ERFC_ZERO sqrt(2)``, every node's erfc argument reaches
-    ``_ERFC_ZERO`` below ``min((m - K s)/psi)``, so G is exactly 0 there, and
-    S is exactly 0 above ``max((m + K s)/psi)``."""
+    takes G and S together, from the plan's bracket, below which G is
+    exactly 0 and above which S is."""
     p = np.asarray(probs, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValidationError(f"probabilities must lie in (0, 1), got {probs}")
@@ -362,10 +388,7 @@ def _estimator_quantiles(plan: _Plan, probs) -> np.ndarray:
     def short(q):   # True where q lies below the quantile
         tail = _cdf_from_plan(plan, q, upper)
         return np.where(upper, tail > target, tail < target)
-    _g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
-    reach = _ERFC_ZERO * math.sqrt(2.0) * s
-    a = np.full(p.shape, np.min((m - reach) / pu))
-    b = np.full(p.shape, np.max((m + reach) / pu))
+    a, b = np.full(p.shape, plan.bracket[0]), np.full(p.shape, plan.bracket[1])
     mid = 0.5 * (a + b)
     while np.any((a < mid) & (mid < b)):
         below = short(mid)
@@ -400,11 +423,11 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     """Mean, variance and bias of the estimator density.
 
     ``method="hermite"`` (default; the name is historical) runs no
-    quadrature over z.  It takes the bias ``E_u (m/psi - q)``, the variance
-    from ``E_u ((m/psi - q)^2 + (s/psi)^2)`` and the normalization defect
-    ``|E_u 1 - 1|``, the mass of f over the whole line, from the u-rule's
-    totals.  ``method="quadrature"`` integrates (f, (z-q) f, (z-q)^2 f) over
-    the whole line, mapped onto (-1, 1), the independent cross-check; it
+    quadrature over z.  Its bias and variance are ``_moments``' exact
+    r-integrals, and its normalization defect is ``|E_u 1 - 1|``, the mass
+    of f over the whole line on the u-rule.  ``method="quadrature"``
+    integrates (f, (z-q) f, (z-q)^2 f) over the whole line, mapped onto
+    (-1, 1) on the scale of the law's sd, the independent cross-check; it
     runs to relative ``_REL_TOL`` in at most ``_MAX_REFINEMENTS`` rounds.
     Inside the validated region the two methods agree to that accuracy;
     outside it the cross-check may raise QuadratureError where the default
@@ -414,12 +437,12 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
         raise ValidationError(f"unknown stats method {method!r}")
     _warn_if_unvalidated(spec)
     plan = _plan(spec)
-    if method == "hermite":
-        mass, mean, var = plan.mass, plan.mean, plan.var
-    else:
-        h = math.sqrt(plan.var)
+    _q, bias, var = _moments(spec)
+    mass = plan.mass
+    if method == "quadrature":
+        h = math.sqrt(var)
 
-        def moment_parts(x, _cell):   # z - q = h x/(1 - x^2) maps (-1, 1) onto the line
+        def moment_parts(x):   # z - q = h x/(1 - x^2) maps (-1, 1) onto the line
             w = 1.0 - x * x
             d = h * x / w
             fj = _density_from_plan(plan, plan.q_true + d) * (h * (1.0 + x * x) / (w * w))
@@ -428,7 +451,8 @@ def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
         totals, _err, _nodes, _weights = adaptive_rule(moment_parts, -1.0, 1.0,
                                                        _REL_TOL, _MAX_REFINEMENTS)
         mass, bias, second = (float(v) for v in totals)
-        mean, var = plan.q_true + bias, second - bias * bias
+        var = second - bias * bias
+    mean = plan.q_true + bias
     return QuantileStats(
         mean=mean,
         variance=var,
@@ -442,14 +466,15 @@ def bias_variance_surface(n_values, xi_values, alpha: ConfidenceLevel,
                           sigma: float) -> BiasSurface:
     """Bias and variance over the (n, xi) grid, row-major by n then xi.
 
-    Every cell's spec is validated before any quadrature; then one
-    ``_plans`` call builds the u-rules of all cells, each resolved to
-    relative ``_REL_TOL`` within ``_MAX_REFINEMENTS`` refinements.  Each
-    cell carries the u-rule moments that ``stats`` returns for its spec.
+    Every cell's spec is validated before any quadrature; then each cell
+    carries the exact moments that ``stats`` returns for its spec, from
+    ``_moments`` alone, with no u-rule.
     """
     specs = [DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi))
              for n in n_values for xi in xi_values]
-    rows = tuple(SurfaceRow(n=spec.n, xi=spec.xi, bias=plan.mean - plan.q_true,
-                            variance=plan.var)
-                 for spec, plan in zip(specs, _plans(specs)))
-    return BiasSurface(alpha=alpha, sigma=sigma, rows=rows)
+    rows = []
+    for spec in specs:
+        q, bias, var = _moments(spec)
+        # the bias as stats reports it, the mean q + bias less q
+        rows.append(SurfaceRow(n=spec.n, xi=spec.xi, bias=(q + bias) - q, variance=var))
+    return BiasSurface(alpha=alpha, sigma=sigma, rows=tuple(rows))

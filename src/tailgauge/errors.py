@@ -10,14 +10,9 @@ class NumericalError(RuntimeError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature could not reach the requested tolerance.
-
-    ``index`` is the failing interval of a batch (0 for a single interval).
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+    """A quadrature could not reach its tolerance, or the estimator law it
+    builds does not resolve: a u-rule without unit mass or with a quantile
+    bracket that is not finite, or moments that overflow a double."""
 
 
 class OutsideValidatedRegionWarning(UserWarning):

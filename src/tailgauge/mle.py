@@ -297,6 +297,17 @@ def fit(data) -> MleEstimate:
     )
 
 
+def _check_size(n) -> None:
+    """ValidationError unless the sample size ``n`` is a positive integer
+    that a double holds."""
+    try:
+        ok = math.isfinite(n) and n == int(n) >= 1
+    except OverflowError:   # an integer beyond the largest double
+        ok, n = False, "an integer beyond the largest double"
+    if not ok:
+        raise ValidationError(f"n must be a positive integer, got {n}")
+
+
 def asymptotic_covariance(p: GpdParams, n: int) -> AsymptoticCovariance:
     """Mean vector and covariance of the limiting normal law of the estimators.
 
@@ -306,8 +317,7 @@ def asymptotic_covariance(p: GpdParams, n: int) -> AsymptoticCovariance:
     """
     if p.xi <= -0.5:
         raise ValidationError(f"asymptotic covariance requires xi > -0.5, got {p.xi}")
-    if not (math.isfinite(n) and n == int(n) >= 1):
-        raise ValidationError(f"n must be a positive integer, got {n}")
+    _check_size(n)
     c = (1.0 + p.xi) / n
     try:
         cov = [c * (1.0 + p.xi), c * -p.sigma, c * -p.sigma, c * (2.0 * p.sigma**2)]

@@ -1,6 +1,8 @@
 import gzip
+import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import tailgauge as tg
 from tailgauge import cli
 from tailgauge.cli import _emit_json, main, read_series
-from tailgauge.density import _cdf_from_plan, _plan
+from tailgauge.density import _cdf_from_plan, _moments, _plan
 
 
 @pytest.fixture(scope="module")
@@ -218,16 +220,20 @@ class TestFitCommand:
         assert np.isfinite(rep["bias_applied"])
 
     def test_unresolvable_law_exits_3(self, tmp_path, capsys):
-        # n_hat = 10 with xi_hat near 3.8: psi^-2 overflows on the u-range
+        # n_hat = 10 with xi_hat near 3.8: up to alpha 0.9999 the law's exact
+        # bias is finite (negative and huge, -1.2e49 at 0.9995); at 0.99999
+        # its moments overflow a double
         p = tmp_path / "heavy.csv"
         x = np.random.default_rng(3).pareto(0.15, 100)
         p.write_text("".join(f"{float(v)!r}\n" for v in x))
         out = tmp_path / "heavy99.json"
-        assert main(["fit", str(p), "--alpha", "0.99", "--out", str(out)]) == 0
-        rep = json.loads(out.read_text())
-        assert rep["n_hat"] == 10 and rep["xi_hat"] > 3.5
+        for alpha in ("0.99", "0.9995"):
+            assert main(["fit", str(p), "--alpha", alpha, "--out", str(out)]) == 0
+            rep = json.loads(out.read_text())
+            assert rep["n_hat"] == 10 and rep["xi_hat"] > 3.5
+            assert -math.inf < rep["bias_applied"] < 0.0
         capsys.readouterr()
-        assert main(["fit", str(p), "--alpha", "0.9995"]) == 3
+        assert main(["fit", str(p), "--alpha", "0.99999"]) == 3
         err = capsys.readouterr().err
         assert "n=10" in err and "not finite" in err
 
@@ -247,10 +253,10 @@ class TestFitCommand:
         assert rep["warnings"] == [warning]
         assert np.isfinite(rep["bias_applied"])
         if alpha == "0.99":     # the law as is, e.g. -0.00237 for the Beta
-            plan = _plan(tg.DensitySpec(
+            q, bias, _var = _moments(tg.DensitySpec(
                 n=rep["n_hat"], alpha=tg.ConfidenceLevel(0.99), sigma=rep["sigma_hat"],
                 xi=rep["xi_hat"], allow_unvalidated=True))
-            assert rep["bias_applied"] == plan.mean - plan.q_true
+            assert rep["bias_applied"] == (q + bias) - q
 
     def test_determinism(self, big_series, tmp_path):
         path, _ = big_series
@@ -299,7 +305,8 @@ class TestDensityCommand:
         assert np.sum(rows[:, 1] >= 0.5 * rows[:, 1].max()) >= 8
 
     def test_unresolvable_spec_exits_3(self, tmp_path, capsys):
-        # the u-rule cannot resolve psi^-2 here; a typed error, not an OOM
+        # psi underflows on the u-range, so the grid's quantile bracket is
+        # not finite; a typed error, not an OOM or a grid of NaN
         assert main(["density", "--n", "10", "--xi", "5", "--alpha", "0.99999",
                      "--override-region", "--out", str(tmp_path / "d.csv")]) == 3
         assert "n=10, xi=5.0" in capsys.readouterr().err
@@ -320,6 +327,11 @@ class TestDensityCommand:
     def test_out_of_region_refused(self, capsys):
         assert main(["density", "--n", "30", "--xi", "0.25"]) == 2
         assert "validated region" in capsys.readouterr().err
+
+    def test_size_beyond_a_double_exits_2(self, capsys):
+        # an integer argparse takes, but no double holds: not an OverflowError
+        assert main(["density", "--n", "1" + "0" * 400, "--xi", "0.25"]) == 2
+        assert "beyond the largest double" in capsys.readouterr().err
 
     def test_override_region(self, tmp_path):
         out = tmp_path / "den3.csv"
@@ -351,9 +363,22 @@ class TestBiasTableCommand:
         assert sorted(set(rows[:, 1])) == [0.0, 0.25, 0.5]
 
     def test_every_cell_is_validated_before_any_quadrature(self, capsys):
-        # n = 1e12 alone fails its u-rule (exit 3); n = 10 is out of region
-        assert main(["bias-table", "--grid-n", "1e12,10"]) == 2
-        assert "n=10, xi=0.0) is outside the validated region" in capsys.readouterr().err
+        # at sigma 1e152 the moments of (50, 0.5) alone overflow (exit 3);
+        # n = 10 is out of region
+        assert main(["bias-table", "--grid-n", "50,10", "--grid-xi", "0.5",
+                     "--sigma", "1e152"]) == 2
+        assert "n=10, xi=0.5) is outside the validated region" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha, digest", [
+        ("0.999", "bd8acb72cb02a8b03bdf507c2cbab08c5c5b0fe414339c3f4e635193c88dc893"),
+        ("0.99", "8ff92f07fd6bcddbcff631fb97bb236298fba614a5af4d4046ac724aeafd1cb5"),
+    ])
+    def test_default_grid_bytes_are_pinned(self, tmp_path, alpha, digest):
+        # the sha256 of the default-grid CSV that the u-rule moments wrote;
+        # the r-integrals write the same bytes
+        out = tmp_path / "tab.csv"
+        assert main(["bias-table", "--alpha", alpha, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,7 @@ from scipy import integrate, special
 import tailgauge as tg
 from tailgauge.quadrature import adaptive_rule
 from tailgauge.density import (_ERFC_ZERO, _REL_TOL, _cdf_from_plan, _conditional_law,
-                               _erfc, _estimator_quantiles, _plan, _plans,
+                               _erfc, _estimator_quantiles, _moments, _plan,
                                evaluation_window)
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -76,6 +76,32 @@ def _gauss_hermite_moments(spec):
     return mean, float((W * (g - mean) ** 2).sum())
 
 
+def _u_rule_moments(spec):
+    """The oracle the r-integrals replace: the bias ``E_u (m/psi - q)`` and
+    the variance from ``E_u ((m/psi - q)^2 + (s/psi)^2)``, as u-sums on
+    ``_plan``'s rule."""
+    plan = _plan(spec)
+    g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
+    w, d = plan.u_weights * g, m / pu - plan.q_true
+    bias = w @ d
+    return bias, w @ (d * d + (s / pu) ** 2) - bias * bias
+
+
+def _series_coefficient(k, xi, alpha=0.999, sigma=1.0):
+    """b_k of the paper's bias as a power series in 1/n, by scipy quadrature:
+    sigma int_0^t e^{r xi} [(1+xi)^2k r^2k / (2^k k!)
+    - (1+xi)^(2k-1) r^(2k-1) / (2^(k-1) (k-1)!)] dr."""
+    a = 1.0 + xi
+
+    def f(r):
+        return math.exp(r * xi) * (
+            (a * r) ** (2 * k) / (2 ** k * math.factorial(k))
+            - a ** (2 * k - 1) * r ** (2 * k - 1) / (2 ** (k - 1) * math.factorial(k - 1)))
+
+    t = -math.log1p(-alpha)
+    return sigma * integrate.quad(f, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
 def _bracket_density(spec, z):
     """The paper's bracket form of the density on the plan's u-rule:
     n/(2 pi sigma sqrt(1 + 4 xi + 5 xi^2 + 2 xi^3)) times the u-sum of
@@ -118,6 +144,11 @@ class TestSpecValidation:
     def test_size_must_be_a_positive_integer(self, n):
         with pytest.raises(tg.ValidationError, match="positive integer"):
             _spec(n, 0.25, allow_unvalidated=True)
+
+    def test_size_beyond_a_double_is_a_validation_error(self):
+        # not the OverflowError of converting the integer to a float
+        with pytest.raises(tg.ValidationError, match="beyond the largest double"):
+            _spec(10**400, 0.25)
 
 
 class TestPsi:
@@ -350,13 +381,13 @@ class TestStats:
 
     @pytest.mark.parametrize("n, xi", [(10, 1.0), (5, 0.25), (10, 0.25), (20, 0.5)])
     def test_small_n_moments_cover_the_second_moment(self, n, xi):
-        # psi^-2 ~ exp(2 t u) pulls the second-moment integrand far above xi;
-        # no z-window closes here, so the plan's moments are read directly
+        # psi^-2 ~ exp(2 t u) pulls the second moment far above xi; the
+        # r-integrals take it whole, with no truncated u-range
         spec = _spec(n, xi, allow_unvalidated=True)
-        plan = _plan(spec)
-        mean, var = _gauss_hermite_moments(spec)
-        assert plan.mean == pytest.approx(mean, rel=1e-8)
-        assert plan.var == pytest.approx(var, rel=1e-8)
+        q, bias, var = _moments(spec)
+        mean, ref_var = _gauss_hermite_moments(spec)
+        assert q + bias == pytest.approx(mean, rel=1e-8)
+        assert var == pytest.approx(ref_var, rel=1e-8)
 
     def test_bias_below_three_percent_at_n_1e4(self):
         st = tg.stats(_spec(10_000, 0.25))
@@ -423,40 +454,41 @@ class TestSurface:
             st = default_grid_stats[(r.n, r.xi)]
             assert (r.bias, r.variance) == (st.bias, st.variance)
 
-    def test_one_adaptive_rule_call_builds_every_cell(self, monkeypatch):
-        # the whole 20 x 6 grid is one batch, not a loop of per-cell rules
+    def test_surface_builds_no_u_rule(self, monkeypatch):
+        # each cell is one r-rule of its moments on [0, 1], and no u-rule
         module = importlib.import_module("tailgauge.density")
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(np.size(args[1]))
-            return adaptive_rule(*args, **kwargs)
+        def counted(f, lo, hi, *args):
+            calls.append((lo, hi))
+            return adaptive_rule(f, lo, hi, *args)
 
         monkeypatch.setattr(module, "adaptive_rule", counted)
         surf = tg.bias_variance_surface(tg.DEFAULT_N_GRID, tg.DEFAULT_XI_GRID, A999, 1.0)
         assert len(surf.rows) == 120
-        assert calls == [120]
+        assert calls == [(0.0, 1.0)] * 120
 
     def test_empty_grid_is_an_empty_surface(self):
         assert tg.bias_variance_surface([], tg.DEFAULT_XI_GRID, A999, 1.0).rows == ()
 
     def test_failing_cell_is_named(self):
-        # the batch raises the error that the cell's own rule raises
-        msg = ("u-rule failed at (n=1000000000000, xi=0.25): panel budget exhausted "
-               "(10619 panels, err=2.30e-06 > rel_tol=1e-08)")
+        # at sigma 1e152 the second moment of (50, 0.5) overflows a double,
+        # while (1000, 0.5) resolves; the surface raises that cell's error
+        msg = ("moments failed at (n=50, xi=0.5): no convergence after 21 refinement "
+               "rounds (the integrand is not finite on [0, 1])")
         with pytest.raises(tg.QuadratureError) as exc:
-            tg.bias_variance_surface([100, 10**12], [0.25], A999, 1.0)
+            tg.bias_variance_surface([1000, 50], [0.5], A999, 1e152)
         assert str(exc.value) == msg
 
-    @pytest.mark.parametrize("n_values, xi, named", [
-        ([10**12, 10**13], 0.25, "n=1000000000000, xi=0.25): panel budget"),
-        ([10**300, 10**12], 0.5, f"n={10**300}, xi=0.5): it holds mass 0"),
-        ([10**12, 10**300], 0.5, "n=1000000000000, xi=0.5): panel budget"),
+    @pytest.mark.parametrize("n_values, xi, named, sigma", [
+        ([50, 60], 0.25, "n=50, xi=0.25): no convergence", 5e152),
+        ([1000, 50], 0.5, "n=50, xi=0.5): no convergence", 1e152),
+        ([50, 1000], 0.5, "n=50, xi=0.5): no convergence", 1e152),
     ])
-    def test_first_failing_cell_in_row_major_order_is_named(self, n_values, xi, named):
-        # whichever way each cell fails: its panel budget, or the mass check
+    def test_first_failing_cell_in_row_major_order_is_named(self, n_values, xi, named, sigma):
+        # both cells fail, or only the second, or only the first
         with pytest.raises(tg.QuadratureError, match=re.escape(named)):
-            tg.bias_variance_surface(n_values, [xi], A999, 1.0)
+            tg.bias_variance_surface(n_values, [xi], A999, sigma)
 
     def test_quadrature_failure_carries_coordinates(self, monkeypatch):
         module = importlib.import_module("tailgauge.density")
@@ -464,15 +496,6 @@ class TestSurface:
         monkeypatch.setattr(module, "_MAX_REFINEMENTS", 0)
         with pytest.raises(tg.QuadratureError, match="n=50"):
             tg.bias_variance_surface([50], [0.25], A999, 1.0)
-
-
-def test_batched_plans_equal_each_spec_plan_bitwise():
-    # a spec's plan does not depend on the rest of its batch
-    specs = [_spec(n, xi) for n in (50, 1000) for xi in (0.0, 0.5)] + [_spec(100, 0.25)]
-    for spec, batched in zip(specs, _plans(specs)):
-        alone = _plan(spec)
-        for field, a, b in zip(alone._fields, batched, alone):
-            np.testing.assert_array_equal(a, b, err_msg=f"{field} at {spec}")
 
 
 def test_accuracy_change_reaches_every_entry_point(monkeypatch, fig1_spec):
@@ -505,9 +528,9 @@ def test_moments_against_scipy_z_integration(fig1_spec):
 
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
 def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
-    # only the stats(method="quadrature") cross-check integrates over z; the
-    # windows, the CDF and default stats come from the u-sums
-    # (u-rules have array ends, the z-quadrature is the one call on (-1, 1))
+    # only the stats(method="quadrature") cross-check integrates over z, the
+    # one call on (-1, 1); the windows, the CDF and default stats come from
+    # the u-rule and the moments' r-rule on [0, 1]
     module = importlib.import_module("tailgauge.density")
     calls = []
 
@@ -522,15 +545,15 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
     assert lo < plan.q_true < hi
     assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
     assert tg.stats(spec).normalization_defect <= 1e-6
-    assert calls and all(np.ndim(a) == 1 for a, _b in calls)
+    assert calls and (-1.0, 1.0) not in calls
     u_calls = len(calls)
     tg.stats(spec, method="quadrature")
-    assert len(calls) == u_calls + 2 and np.ndim(calls[-2][0]) == 1
+    assert len(calls) == u_calls + 3 and calls[-2] == (0.0, 1.0)
     assert calls[-1] == (-1.0, 1.0)
 
 
 def test_cross_check_raises_outside_the_validated_region():
-    # at (10, 1.0) the u-rule moments exist, but the whole-line z-quadrature
+    # at (10, 1.0) the exact moments exist, but the whole-line z-quadrature
     # does not resolve the heavy tail: a typed error, not a number
     spec = _spec(10, 1.0, allow_unvalidated=True)
     with pytest.warns(tg.OutsideValidatedRegionWarning):
@@ -620,8 +643,8 @@ def test_stats_returns_plan_moments_where_no_moment_window_closes(n, xi):
     spec = _spec(n, xi, allow_unvalidated=True)
     with pytest.warns(tg.OutsideValidatedRegionWarning):
         st = tg.stats(spec)
-    plan = _plan(spec)
-    assert (st.mean, st.variance) == (plan.mean, plan.var)
+    q, bias, var = _moments(spec)
+    assert (st.mean, st.variance) == (q + bias, var)
     assert st.normalization_defect <= 1e-6
 
 
@@ -646,29 +669,31 @@ def test_z_quadrature_agrees_with_u_rule_moments_on_default_grid(default_grid_st
 
 
 def test_moments_scale_as_one_over_n_until_the_bias_drowns_in_rounding():
-    # the u-rule resolves the bias and E (z-q)^2 directly, so nothing
-    # cancels at n = 1e8; by n = 1e12 rounding of m/psi - q swamps the
-    # bias, and the rule refuses it rather than return a wrong number
-    mid, big = tg.stats(_spec(10**6, 0.25)), tg.stats(_spec(10**8, 0.25))
-    assert big.bias * 1e8 == pytest.approx(mid.bias * 1e6, rel=1e-4)
-    assert big.variance * 1e8 == pytest.approx(mid.variance * 1e6, rel=1e-4)
-    for n in (10**12, 10**16):
-        with pytest.raises(tg.QuadratureError, match=f"n={n}, xi=0.25"):
-            tg.stats(_spec(n, 0.25))
+    # the r-integrals cancel nothing, so n bias and n var settle at every n;
+    # stats' bias, its mean q + bias less q, keeps the bias to half an ulp
+    # of q only, which at n = 1e16 is a tenth of it
+    mid = tg.stats(_spec(10**6, 0.25))
+    for n in (10**8, 10**12, 10**16):
+        q, bias, var = _moments(_spec(n, 0.25))
+        assert bias * n == pytest.approx(mid.bias * 1e6, rel=1e-4)
+        assert var * n == pytest.approx(mid.variance * 1e6, rel=1e-4)
+    st = tg.stats(_spec(10**16, 0.25))
+    assert st.bias != bias and abs(st.bias - bias) <= 0.5 * math.ulp(q)
     # here the u-range rounds to one point and the rule holds no mass
     with pytest.raises(tg.QuadratureError, match="mass 0"):
         tg.stats(_spec(10**300, 0.5))
 
 
-@pytest.mark.parametrize("n, xi, alpha", [(2, 2.0, 0.999), (10, 5.0, 0.99999)])
+@pytest.mark.parametrize("n, xi, alpha", [(2, 2.5, 0.999), (10, 5.0, 0.99999)])
 def test_unresolvable_u_rule_raises_quadrature_error(n, xi, alpha):
-    # psi^-2 overflows on the u-range: a typed error naming the spec, not a
-    # MemoryError from an unbounded refinement or a RuntimeWarning
+    # psi underflows on the u-range: a typed error naming the spec, not a
+    # NaN quantile, a MemoryError from an unbounded refinement or a
+    # RuntimeWarning
     spec = _spec(n, xi, alpha=alpha, allow_unvalidated=True)
     with pytest.warns(tg.OutsideValidatedRegionWarning):
         with pytest.raises(tg.QuadratureError, match=f"n={n}, xi={xi}") as exc:
             tg.stats(spec)
-    assert "the integrand is not finite on [" in str(exc.value)
+    assert "its quantile bracket is not finite" in str(exc.value)
 
 
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5)])
@@ -695,3 +720,80 @@ def test_cdf_workspace_stays_in_cache(fig1_spec):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("xis", [tg.DEFAULT_XI_GRID, [round(0.05 * k, 2) for k in range(11)]],
+                         ids=["default", "20x11"])
+def test_moments_match_the_u_rule_moment_sums(xis):
+    for n in tg.DEFAULT_N_GRID:
+        for xi in xis:
+            spec = _spec(n, xi)
+            _q, bias, var = _moments(spec)
+            ref_bias, ref_var = _u_rule_moments(spec)
+            assert bias == pytest.approx(ref_bias, rel=1e-12, abs=0.0), (n, xi)
+            assert var == pytest.approx(ref_var, rel=1e-12, abs=0.0), (n, xi)
+
+
+@pytest.mark.parametrize("n, xi, alpha, sigma", [
+    (10, 1.0, 0.999, 1.0), (5, 0.25, 0.999, 1.0), (20, 0.5, 0.999, 1.0),
+    (100, -0.3, 0.999, 1.0), (30, 2.0, 0.999, 1.0), (50, 0.5, 0.999, 1.0),
+    (1000, 0.5, 0.9999, 1.0), (200, 0.4, 0.99, 2.0), (100, 0.0, 0.9, 3.0),
+])
+def test_moments_match_gauss_hermite_in_and_out_of_region(n, xi, alpha, sigma):
+    spec = _spec(n, xi, alpha=alpha, sigma=sigma, allow_unvalidated=True)
+    q, bias, var = _moments(spec)
+    mean, ref_var = _gauss_hermite_moments(spec)
+    assert q + bias == pytest.approx(mean, rel=1e-8)
+    assert var == pytest.approx(ref_var, rel=1e-8)
+
+
+def test_series_leading_coefficients():
+    b1 = [_series_coefficient(1, xi) for xi in tg.DEFAULT_XI_GRID]
+    np.testing.assert_allclose(b1, [31.08, 70.43, 154.9, 334.4, 713.2, 1508.77], rtol=2e-4)
+
+
+@pytest.mark.parametrize("xi", tg.DEFAULT_XI_GRID)
+def test_bias_is_the_papers_one_over_n_series(xi):
+    # B(n, xi) = sum_k b_k(xi) n^-k exactly; past n = 1e6 b_3 and on fall
+    # below 1e-9 of the first term
+    b1, b2 = _series_coefficient(1, xi), _series_coefficient(2, xi)
+    for n in (10**6, 10**8, 10**10, 10**12):
+        _q, bias, _var = _moments(_spec(n, xi))
+        assert n * bias == pytest.approx(b1 + b2 / n, rel=1e-9, abs=0.0), n
+
+
+def test_variance_keeps_its_delta_method_limit_at_huge_n():
+    # n var tends to grad q' (n cov) grad q; the conditional sd of sigma_hat
+    # given xi_hat no longer underflows to 0 past n = 1e154
+    xi, t = 0.25, math.log(1000.0)
+    h = math.expm1(t * xi) / xi
+    dh = (t * math.exp(t * xi) * xi - math.expm1(t * xi)) / xi ** 2
+    limit = (1 + xi) * ((1 + xi) * dh * dh - 2.0 * dh * h + 2.0 * h * h)
+    assert limit == pytest.approx(7445.89899, abs=1e-5)
+    for n in (10**16, 10**100, 10**200, 10**300):
+        row, = tg.bias_variance_surface([n], [xi], A999, 1.0).rows
+        assert n * row.variance == pytest.approx(limit, rel=1e-9, abs=0.0), n
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.999, 0.9995, 0.99999])
+def test_no_entry_point_returns_nan(alpha):
+    # each one returns finite numbers or raises a QuadratureError that
+    # names the spec; at small n and large xi psi underflows on the u-range
+    # (the window was NaN at (2, 2.5, 0.999), (3, 3.0, 0.9995) and
+    # (10, 5.0, 0.99999)) and the moments overflow a double
+    for n in (2, 3, 10, 10**12):
+        for xi in (-0.45, 0.5, 2.5, 3.0, 5.0):
+            spec = _spec(n, xi, alpha=alpha, allow_unvalidated=True)
+            q = tg.quantile(tg.GpdParams(1.0, xi), spec.alpha)
+            z = np.array([-1.0, 0.0, q, 10.0 * q])
+            for call in (lambda: tuple(vars(tg.stats(spec)).values()),
+                         lambda: tg.density(spec, z), lambda: tg.cdf_of_estimator(spec, z),
+                         lambda: evaluation_window(spec)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", tg.OutsideValidatedRegionWarning)
+                    try:
+                        out = call()
+                    except tg.QuadratureError as exc:
+                        assert f"(n={n}, xi={xi})" in str(exc)
+                        continue
+                assert np.all(np.isfinite(out)), (n, xi, alpha)

@@ -301,6 +301,11 @@ class TestAsymptoticCovariance:
         with pytest.raises(tg.ValidationError, match="positive integer"):
             tg.asymptotic_covariance(tg.GpdParams(1.0, 0.25), n)
 
+    def test_size_beyond_a_double_is_a_validation_error(self):
+        # not the OverflowError of converting the integer to a float
+        with pytest.raises(tg.ValidationError, match="beyond the largest double"):
+            tg.asymptotic_covariance(tg.GpdParams(1.0, 0.25), 10**400)
+
     @pytest.mark.parametrize("xi", [-0.4, -0.2, 0.0, 0.25, 0.5, 1.0])
     def test_determinant_identity(self, xi):
         sigma, n = 1.3, 77
