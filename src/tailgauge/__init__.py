@@ -15,8 +15,8 @@ from .bias import (BiasLawParams, BiasSurface, CALIBRATED_PARAMS,
                    PRACTICAL_PARAMS, SurfaceRow, bias_law, bias_practical,
                    correct_quantile, fit_bias_law)
 from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, DensitySpec,
-                      QuantileStats, bias_variance_surface, cdf_of_estimator,
-                      density, psi, stats)
+                      EstimatorLaw, QuantileStats, bias_variance_surface,
+                      cdf_of_estimator, density, psi, stats)
 from .errors import (NumericalError, OutsideValidatedRegionWarning,
                      QuadratureError, ValidationError)
 from .gpd import (ConfidenceLevel, GpdParams, cdf, mean, pdf, quantile,
@@ -32,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticCovariance", "BiasLawParams", "BiasSurface",
     "CALIBRATED_PARAMS", "ConfidenceLevel", "DEFAULT_N_GRID",
-    "DEFAULT_XI_GRID", "DensitySpec", "GpdParams", "MleEstimate",
-    "NumericalError", "OutsideValidatedRegionWarning", "PRACTICAL_PARAMS",
-    "QuadratureError",
+    "DEFAULT_XI_GRID", "DensitySpec", "EstimatorLaw", "GpdParams",
+    "MleEstimate", "NumericalError", "OutsideValidatedRegionWarning",
+    "PRACTICAL_PARAMS", "QuadratureError",
     "QuantileStats", "Sample", "SimConfig", "SimReport", "SurfaceRow",
     "TailFit", "TailSelection", "ValidationError", "asymptotic_covariance",
     "bias_law", "bias_practical", "bias_variance_surface", "cdf",

@@ -21,9 +21,7 @@ import numpy as np
 from .bias import (BiasLawParams, PRACTICAL_ALPHA, PRACTICAL_PARAMS, bias_law,
                    bias_practical, fit_bias_law)
 from .density import (DEFAULT_N_GRID, DEFAULT_XI_GRID, VALIDATED_MIN_N,
-                      VALIDATED_XI, DensitySpec, _density_from_plan,
-                      _estimator_quantiles, _moments, _plan, _warn_if_unvalidated,
-                      bias_variance_surface)
+                      VALIDATED_XI, DensitySpec, EstimatorLaw, bias_variance_surface)
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, quantile
 from .simulate import SimConfig, run
@@ -243,9 +241,10 @@ def cmd_fit(args: argparse.Namespace) -> None:
         b_applied = est.sigma_hat * b_practical
         law_source = "practical_sigma_scaled"
     else:
-        q, bias, _var = _moments(DensitySpec(n=sel.n_hat, alpha=alpha, sigma=est.sigma_hat,
-                                             xi=est.xi_hat, allow_unvalidated=True))
-        b_applied = (q + bias) - q   # the bias as stats reports it
+        law = EstimatorLaw(DensitySpec(n=sel.n_hat, alpha=alpha, sigma=est.sigma_hat,
+                                       xi=est.xi_hat, allow_unvalidated=True))
+        bias, _var = law.moments()
+        b_applied = (law.q_true + bias) - law.q_true   # the bias as stats reports it
         law_source = "estimator_law"
     q_tilde = q_hat - b_applied
     q_big_tilde = parent_quantile_from_tail_quantile(tf, q_tilde, alpha)
@@ -274,11 +273,10 @@ def cmd_fit(args: argparse.Namespace) -> None:
 def cmd_density(args: argparse.Namespace) -> None:
     spec = DensitySpec(n=args.n, alpha=ConfidenceLevel(args.alpha), sigma=args.sigma,
                        xi=args.xi, allow_unvalidated=args.override_region)
-    plan = _plan(spec)
-    _warn_if_unvalidated(spec)
-    lo, hi = _estimator_quantiles(plan, DENSITY_GRID_PROBS)
+    law = EstimatorLaw(spec)
+    lo, hi = law.quantile(DENSITY_GRID_PROBS)
     z = np.linspace(lo, hi, DENSITY_GRID_POINTS)
-    f = _density_from_plan(plan, z)
+    f = law.density(z)
     _emit_csv(["z", "f_q"], zip(z.tolist(), f.tolist()), args.out)
 
 

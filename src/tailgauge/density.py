@@ -14,27 +14,29 @@ CDF are expectations over ``u`` of that conditional normal:
     mass       1 = E_u 1
 
 (the density is the paper's formula with its exponent split into the normal
-densities of ``u`` and of ``v`` given ``u``).  All of them are weighted sums
-over one adaptive u-rule per spec (``_plan``), refined until its mass and its
-density at a few probe points are resolved; ``stats`` reads its
-normalization defect off that mass.  The moments need no u-rule: with
+densities of ``u`` and of ``v`` given ``u``).  ``EstimatorLaw`` holds one
+spec's law.  All of these are weighted sums over its adaptive u-rule, built
+once per law object on first use and refined until its mass and its density
+at a few probe points are resolved; ``stats`` reads its normalization
+defect off that mass.  The moments need no u-rule: with
 ``1/psi(u) = int_0^t e^{ru} dr`` they are exact 1-D integrals over ``r`` of
-the normal's moment generating function (``_moments``), about the true
-quantile ``q``, so nothing cancels at any ``n``; the bias/variance surface
-and ``fit``'s bias read them alone.
+the normal's moment generating function (``EstimatorLaw.moments``), about
+the true quantile ``q``, so nothing cancels at any ``n``; the bias/variance
+surface and ``fit``'s bias read them alone.
 ``G`` is the CDF on the whole line, with no window behind it; quantiles
 bisect ``G`` up to the median and ``S`` above, from a bracket beyond which
 every node's normal is exactly 0.  Only ``stats(method="quadrature")``, the
 cross-check, integrates the density over z, across the whole line.
 Every rule runs at one fixed accuracy: relative 1e-8 (``_REL_TOL``), with at
-most 20 refinement rounds (``_MAX_REFINEMENTS``).  Nothing is memoised: each
-entry point builds its spec's u-rule once and hands it down.  The
-approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5]; anything
-else must be requested explicitly and is flagged by a warning.
+most 20 refinement rounds (``_MAX_REFINEMENTS``).  Nothing is memoised
+beyond one law object: the module functions build a fresh one per call.
+The approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5];
+anything else must be requested explicitly and is flagged by a warning.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -199,32 +201,11 @@ class _Law(NamedTuple):
     s: float
 
 
-class _Plan(NamedTuple):
-    t: float
-    law: _Law
-    q_true: float
+class _URule(NamedTuple):
+    nodes: np.ndarray
+    weights: np.ndarray
     mass: float
     bracket: tuple[float, float]   # G is 0 below it and S is 0 above it
-    u_nodes: np.ndarray
-    u_weights: np.ndarray
-
-
-def _warn_if_unvalidated(spec: DensitySpec) -> None:
-    if not spec.in_validated_region:
-        warnings.warn(
-            f"(n={spec.n}, xi={spec.xi}) lies outside the validated region; "
-            "results are an unchecked extrapolation",
-            OutsideValidatedRegionWarning, stacklevel=3)
-
-
-def _spec_law(spec: DensitySpec) -> tuple[_Law, float, float]:
-    """The spec's ``_Law``, ``t = -log(1 - alpha)`` and true quantile q."""
-    params = GpdParams(spec.sigma, spec.xi)
-    cov = asymptotic_covariance(params, spec.n)
-    (mu_u, mu_v), ((c00, c01), (_c10, c11)) = cov.mean_vector, cov.cov_matrix.tolist()
-    slope = c01 / c00
-    law = _Law(mu_u, math.sqrt(c00), mu_v, slope, math.sqrt(c11 - c01 * slope))
-    return law, -math.log1p(-spec.alpha.alpha), quantile(params, spec.alpha)
 
 
 def _conditional_law(law: _Law, t, u: np.ndarray):
@@ -261,205 +242,231 @@ def _u_sum(weights: np.ndarray, size: int, matrix) -> np.ndarray:
     return out
 
 
-def _density_from_plan(plan: _Plan, z: np.ndarray) -> np.ndarray:
-    cond = _conditional_law(plan.law, plan.t, plan.u_nodes)
-    return _u_sum(plan.u_weights, z.size, lambda cols: _integrand_matrix(cond, z[cols]))
+class EstimatorLaw:
+    """The finite-sample law of the quantile estimator at one spec: the limiting
+    normal law of (u, v) (``normal``), ``t = -log(1 - alpha)``, the true
+    quantile ``q_true``, and the u-rule, built on first use and then kept."""
 
+    def __init__(self, spec: DensitySpec):
+        params = GpdParams(spec.sigma, spec.xi)
+        cov = asymptotic_covariance(params, spec.n)
+        (mu_u, mu_v), ((c00, c01), (_c10, c11)) = cov.mean_vector, cov.cov_matrix.tolist()
+        slope = c01 / c00
+        self.spec = spec
+        self.normal = _Law(mu_u, math.sqrt(c00), mu_v, slope,
+                           math.sqrt(c11 - c01 * slope))
+        self.t = -math.log1p(-spec.alpha.alpha)
+        self.q_true = quantile(params, spec.alpha)
 
-def _cdf_from_plan(plan: _Plan, q: np.ndarray, upper=False) -> np.ndarray:
-    """``G(q)``, and ``S(q)`` where ``upper`` (one flag, or one per point),
-    on the plan's u-rule, with ``Phi(x) = erfc(-x/sqrt(2))/2``; S keeps its
-    relative precision where G is 1."""
-    g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
-    a, b = (pu / (math.sqrt(2.0) * s))[:, None], (m / (math.sqrt(2.0) * s))[:, None]
-    sign = np.broadcast_to(np.where(upper, -1.0, 1.0), q.shape)
-    return _u_sum(0.5 * plan.u_weights * g, q.size,
-                  lambda cols: _erfc(sign[cols] * (b - a * q[None, cols])))
+    @functools.cached_property
+    def u_rule(self) -> _URule:
+        """The u-rule from one adaptive Kronrod call, after the region warning.
 
+        Over the truncated u-range it resolves, to relative ``_REL_TOL``, the
+        mass of u and the density at the probes.  Where it does not, where it
+        does not hold the law's unit mass, or where its quantile bracket is not
+        finite (psi underflows on the u-range), the QuadratureError names the spec."""
+        spec, law, t = self.spec, self.normal, self.t
+        if not spec.in_validated_region:
+            warnings.warn(
+                f"(n={spec.n}, xi={spec.xi}) lies outside the validated region; "
+                "results are an unchecked extrapolation",
+                OutsideValidatedRegionWarning, stacklevel=4)
+        failed = f"u-rule failed at (n={spec.n}, xi={spec.xi})"
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            _g, psi_k, m_k, _s = _conditional_law(law, t,
+                                                  law.mu_u + _PROBE_SDS * law.sd_u)
+            probes = m_k / psi_k
 
-def _plan(spec: DensitySpec) -> _Plan:
-    """The spec's limiting law and its u-rule, from one adaptive Kronrod call.
+            def integrands(u):
+                cond = _conditional_law(law, t, u)
+                return np.column_stack([cond[0], _integrand_matrix(cond, probes)])
 
-    Over the truncated u-range the rule resolves, to relative ``_REL_TOL``,
-    the mass of u and the density at the probes.  Where it does not, where
-    it does not hold the law's unit mass, or where its quantile bracket is
-    not finite (psi underflows on the u-range), the QuadratureError names
-    the spec.
-    """
-    law, t, q_true = _spec_law(spec)
-    failed = f"u-rule failed at (n={spec.n}, xi={spec.xi})"
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        _g, psi_k, m_k, _s = _conditional_law(law, t, law.mu_u + _PROBE_SDS * law.sd_u)
-        probes = m_k / psi_k
+            try:
+                total, _err, nodes, weights = adaptive_rule(
+                    integrands, law.mu_u - _U_HALFWIDTH_SDS * law.sd_u,
+                    law.mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * law.sd_u) * law.sd_u,
+                    _REL_TOL, _MAX_REFINEMENTS)
+            except QuadratureError as exc:
+                raise QuadratureError(f"{failed}: {exc}") from exc
+            mass = float(total[0])
+            if not abs(mass - 1.0) <= _REL_TOL:   # e.g. a u-range that rounds to a point
+                raise QuadratureError(f"{failed}: it holds mass {mass:.3g}")
+            # with K = _ERFC_ZERO sqrt(2), every node's erfc argument reaches
+            # _ERFC_ZERO below min((m - K s)/psi) and above max((m + K s)/psi)
+            _g, pu, m, s = _conditional_law(law, t, nodes)
+            reach = _ERFC_ZERO * math.sqrt(2.0) * s
+            bracket = float(np.min((m - reach) / pu)), float(np.max((m + reach) / pu))
+        if not all(map(math.isfinite, bracket)):
+            raise QuadratureError(f"{failed}: its quantile bracket is not finite")
+        return _URule(nodes, weights, mass, bracket)
 
-        def integrands(u):
-            cond = _conditional_law(law, t, u)
-            return np.column_stack([cond[0], _integrand_matrix(cond, probes)])
+    @staticmethod
+    def _shaped(points, evaluate):
+        """``evaluate`` on the flat ``points``, in their shape; a float for a scalar."""
+        arr = np.asarray(points, dtype=float)
+        out = evaluate(arr.ravel()).reshape(arr.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def _tail(self, q: np.ndarray, upper) -> np.ndarray:
+        """``G(q)``, and ``S(q)`` where ``upper`` (one flag, or one per point),
+        on the u-rule, with ``Phi(x) = erfc(-x/sqrt(2))/2``; S keeps its
+        relative precision where G is 1."""
+        rule = self.u_rule
+        g, pu, m, s = _conditional_law(self.normal, self.t, rule.nodes)
+        a, b = (pu / (math.sqrt(2.0) * s))[:, None], (m / (math.sqrt(2.0) * s))[:, None]
+        sign = np.broadcast_to(np.where(upper, -1.0, 1.0), q.shape)
+        return _u_sum(0.5 * rule.weights * g, q.size,
+                      lambda cols: _erfc(sign[cols] * (b - a * q[None, cols])))
+
+    def density(self, z):
+        """Density of the estimator at ``z`` (scalar or array of any shape)."""
+        rule = self.u_rule
+        cond = _conditional_law(self.normal, self.t, rule.nodes)
+        return self._shaped(z, lambda x: _u_sum(
+            rule.weights, x.size, lambda cols: _integrand_matrix(cond, x[cols])))
+
+    def cdf(self, q):
+        """The CDF ``G(q)`` on the whole line (scalar or array of any shape)."""
+        return self._shaped(q, lambda x: self._tail(x, False))
+
+    def sf(self, q):
+        """The survival ``S(q) = 1 - G(q)``, to full relative precision in its tail."""
+        return self._shaped(q, lambda x: self._tail(x, True))
+
+    def quantile(self, probs) -> np.ndarray:
+        """The quantiles at the sequence ``probs`` in (0, 1): ``G(q) = p`` for
+        ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an
+        ulp of 1, bisected to adjacent doubles from the u-rule's bracket, below
+        which G is exactly 0 and above which S is; one u-sum a step."""
+        p = np.asarray(probs, dtype=float)
+        if not np.all((p > 0.0) & (p < 1.0)):
+            raise ValidationError(f"probabilities must lie in (0, 1), got {probs}")
+        a, b = (np.full(p.shape, end) for end in self.u_rule.bracket)
+        upper = p > 0.5
+        target = np.where(upper, 1.0 - p, p)
+        mid = 0.5 * (a + b)
+        while np.any((a < mid) & (mid < b)):
+            tail = self._tail(mid, upper)
+            below = np.where(upper, tail > target, tail < target)   # mid short of q
+            a, b = np.where(below, mid, a), np.where(below, b, mid)
+            mid = 0.5 * (a + b)
+        return mid
+
+    def moments(self) -> tuple[float, float]:
+        """The exact bias and variance of the estimator about ``q_true``,
+        from one adaptive Kronrod rule in r, with no u-rule.
+
+        With ``1/psi(u) = int_0^t e^{ru} dr``, the normal's moment generating
+        function ``E e^{ru} = e^{r mu_u + h}`` (``h = r^2 v/2``, ``v = sd_u^2``)
+        and Stein's lemma ``E (u - mu_u) e^{ru} = r v E e^{ru}``, the law
+        centred at ``(mu_u, S) = (xi, sigma)`` with slope ``c`` and
+        conditional sd ``s`` gives, with nothing that cancels,
+
+            bias        = int_0^t e^{r xi} [S expm1(h) + c r v e^h] dr
+            E z^2 - q^2 = int_0^2t min(r, 2t - r) e^{r xi}
+                          [S^2 expm1(h) + e^h (2 S c r v + c^2 r^2 v^2 + c^2 v + s^2)] dr
+
+        (the triangle weight is ``1/psi^2 = int int e^{(a+b)u} da db``), and
+        the variance ``(E z^2 - q^2) - 2 q bias - bias^2``.  Both integrals
+        run on x in [0, 1]: r = t x, and the triangle folded at its kink as
+        r = t x and r = t (1 + x).  The QuadratureError names the spec where
+        they do not resolve (they overflow a double at tiny n and large xi)
+        or where the variance overflows.
+        """
+        law, t, sigma = self.normal, self.t, self.spec.sigma
+        v = law.sd_u ** 2
+        # the law over sigma: the bias scales as sigma, the variance as sigma^2
+        c, sv, s = law.slope / sigma, law.mu_v / sigma, law.s / sigma
+        failed = f"moments failed at (n={self.spec.n}, xi={self.spec.xi})"
+
+        def parts(r):   # the integrands of the bias and of E z^2 - q^2 at r
+            h = 0.5 * v * r * r
+            tilt, grow, rise, crv = np.exp(law.mu_u * r), np.exp(h), np.expm1(h), c * r * v
+            return (tilt * (sv * rise + crv * grow),
+                    tilt * (sv * sv * rise
+                            + grow * (crv * (2.0 * sv + crv) + c * c * v + s * s)))
+
+        def integrands(x):
+            bias, low = parts(t * x)
+            _bias, high = parts(t * (1.0 + x))
+            return np.column_stack([t * bias, t * t * (x * low + (1.0 - x) * high)])
 
         try:
-            total, _err, u_nodes, u_weights = adaptive_rule(
-                integrands, law.mu_u - _U_HALFWIDTH_SDS * law.sd_u,
-                law.mu_u + (_U_HALFWIDTH_SDS + 2.0 * t * law.sd_u) * law.sd_u,
-                _REL_TOL, _MAX_REFINEMENTS)
+            with np.errstate(over="ignore", invalid="ignore"):
+                (bias, second), _err, _x, _w = adaptive_rule(
+                    integrands, 0.0, 1.0, _REL_TOL, _MAX_REFINEMENTS)
         except QuadratureError as exc:
             raise QuadratureError(f"{failed}: {exc}") from exc
-        mass = float(total[0])
-        if not abs(mass - 1.0) <= _REL_TOL:   # e.g. a u-range that rounds to a point
-            raise QuadratureError(f"{failed}: it holds mass {mass:.3g}")
-        # with K = _ERFC_ZERO sqrt(2), every node's erfc argument reaches
-        # _ERFC_ZERO below min((m - K s)/psi) and above max((m + K s)/psi)
-        _g, pu, m, s = _conditional_law(law, t, u_nodes)
-        reach = _ERFC_ZERO * math.sqrt(2.0) * s
-        bracket = float(np.min((m - reach) / pu)), float(np.max((m + reach) / pu))
-    if not all(map(math.isfinite, bracket)):
-        raise QuadratureError(f"{failed}: its quantile bracket is not finite")
-    return _Plan(t, law, q_true, mass, bracket, u_nodes, u_weights)
+        q = self.q_true / sigma
+        var = float(second - 2.0 * q * bias - bias * bias) * sigma * sigma
+        if not math.isfinite(var):
+            raise QuadratureError(f"{failed}: the variance overflows a double")
+        return float(bias) * sigma, var
 
-
-def _moments(spec: DensitySpec) -> tuple[float, float, float]:
-    """The true quantile q and the exact bias and variance of the estimator
-    law about it, from one adaptive Kronrod rule in r.
-
-    With ``1/psi(u) = int_0^t e^{ru} dr``, the normal's moment generating
-    function ``E e^{ru} = e^{r mu_u + h}`` (``h = r^2 v/2``, ``v = sd_u^2``)
-    and Stein's lemma ``E (u - mu_u) e^{ru} = r v E e^{ru}``, the law
-    centred at ``(mu_u, S) = (xi, sigma)`` with slope ``c`` and conditional
-    sd ``s`` gives, with nothing that cancels,
-
-        bias        = int_0^t e^{r xi} [S expm1(h) + c r v e^h] dr
-        E z^2 - q^2 = int_0^2t min(r, 2t - r) e^{r xi}
-                      [S^2 expm1(h) + e^h (2 S c r v + c^2 r^2 v^2 + c^2 v + s^2)] dr
-
-    (the triangle weight is ``1/psi^2 = int int e^{(a+b)u} da db``), and the
-    variance ``(E z^2 - q^2) - 2 q bias - bias^2``.  Both integrals run on
-    x in [0, 1]: r = t x, and the triangle folded at its kink as r = t x and
-    r = t (1 + x).  The QuadratureError names the spec where they do not
-    resolve (they overflow a double at tiny n and large xi) or where the
-    variance overflows.
-    """
-    law, t, q = _spec_law(spec)
-    v, c, sv = law.sd_u ** 2, law.slope, law.mu_v
-    failed = f"moments failed at (n={spec.n}, xi={spec.xi})"
-
-    def parts(r):   # the integrands of the bias and of E z^2 - q^2 at r
-        h = 0.5 * v * r * r
-        tilt, grow, rise, crv = np.exp(law.mu_u * r), np.exp(h), np.expm1(h), c * r * v
-        return (tilt * (sv * rise + crv * grow),
-                tilt * (sv * sv * rise
-                        + grow * (crv * (2.0 * sv + crv) + c * c * v + law.s * law.s)))
-
-    def integrands(x):
-        bias, low = parts(t * x)
-        _bias, high = parts(t * (1.0 + x))
-        return np.column_stack([t * bias, t * t * (x * low + (1.0 - x) * high)])
-
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            (bias, second), _err, _x, _w = adaptive_rule(integrands, 0.0, 1.0, _REL_TOL,
-                                                         _MAX_REFINEMENTS)
-    except QuadratureError as exc:
-        raise QuadratureError(f"{failed}: {exc}") from exc
-    var = float(second - 2.0 * q * bias - bias * bias)
-    if not math.isfinite(var):
-        raise QuadratureError(f"{failed}: the variance overflows a double")
-    return q, float(bias), var
+    def stats(self) -> QuantileStats:
+        """Mean, variance and bias from ``moments``, and the normalization
+        defect ``|E_u 1 - 1|``, the mass of f over the whole line on the
+        u-rule (built first, so its errors come first)."""
+        mass = self.u_rule.mass
+        bias, var = self.moments()
+        mean = self.q_true + bias
+        return QuantileStats(mean=mean, variance=var, bias=mean - self.q_true,
+                             true_quantile=self.q_true,
+                             normalization_defect=abs(mass - 1.0))
 
 
 def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
     """The z-range that carries the density's mass: the estimator quantiles
     that leave ``_WINDOW_TAIL`` below and above."""
-    _warn_if_unvalidated(spec)
-    lo, hi = _estimator_quantiles(_plan(spec), (_WINDOW_TAIL, 1.0 - _WINDOW_TAIL))
+    lo, hi = EstimatorLaw(spec).quantile((_WINDOW_TAIL, 1.0 - _WINDOW_TAIL))
     return float(lo), float(hi)
-
-
-def _estimator_quantiles(plan: _Plan, probs) -> np.ndarray:
-    """Quantiles of ``cdf_of_estimator`` at ``probs`` in (0, 1): ``G(q) = p``
-    for ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an
-    ulp of 1, bisected to adjacent doubles; each step is one u-sum that
-    takes G and S together, from the plan's bracket, below which G is
-    exactly 0 and above which S is."""
-    p = np.asarray(probs, dtype=float)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise ValidationError(f"probabilities must lie in (0, 1), got {probs}")
-    upper = p > 0.5
-    target = np.where(upper, 1.0 - p, p)
-
-    def short(q):   # True where q lies below the quantile
-        tail = _cdf_from_plan(plan, q, upper)
-        return np.where(upper, tail > target, tail < target)
-    a, b = np.full(p.shape, plan.bracket[0]), np.full(p.shape, plan.bracket[1])
-    mid = 0.5 * (a + b)
-    while np.any((a < mid) & (mid < b)):
-        below = short(mid)
-        a, b = np.where(below, mid, a), np.where(below, b, mid)
-        mid = 0.5 * (a + b)
-    return mid
-
-
-def _pointwise(from_plan, plan: _Plan, points):
-    """``from_plan(plan, x)`` on the flattened ``points``, in their shape;
-    a float for a scalar."""
-    arr = np.asarray(points, dtype=float)
-    out = from_plan(plan, arr.ravel()).reshape(arr.shape)
-    return float(out) if out.ndim == 0 else out
 
 
 def density(spec: DensitySpec, z):
     """Density of the quantile estimator at ``z`` (scalar or array of any shape)."""
-    _warn_if_unvalidated(spec)
-    return _pointwise(_density_from_plan, _plan(spec), z)
+    return EstimatorLaw(spec).density(z)
 
 
 def cdf_of_estimator(spec: DensitySpec, q):
     """CDF of the quantile estimator at ``q`` (scalar or array of any shape):
     the u-sum ``G(q)`` on the whole line, 0 at -inf, the u-rule's mass (1 to
     about 1e-14) at +inf, NaN at NaN."""
-    _warn_if_unvalidated(spec)
-    return _pointwise(_cdf_from_plan, _plan(spec), q)
+    return EstimatorLaw(spec).cdf(q)
 
 
 def stats(spec: DensitySpec, method: str = "hermite") -> QuantileStats:
     """Mean, variance and bias of the estimator density.
 
-    ``method="hermite"`` (default; the name is historical) runs no
-    quadrature over z.  Its bias and variance are ``_moments``' exact
-    r-integrals, and its normalization defect is ``|E_u 1 - 1|``, the mass
-    of f over the whole line on the u-rule.  ``method="quadrature"``
-    integrates (f, (z-q) f, (z-q)^2 f) over the whole line, mapped onto
-    (-1, 1) on the scale of the law's sd, the independent cross-check; it
-    runs to relative ``_REL_TOL`` in at most ``_MAX_REFINEMENTS`` rounds.
-    Inside the validated region the two methods agree to that accuracy;
-    outside it the cross-check may raise QuadratureError where the default
-    succeeds.
+    ``method="hermite"`` (default; the name is historical) is
+    ``EstimatorLaw.stats``, which runs no quadrature over z.
+    ``method="quadrature"`` integrates (f, (z-q) f, (z-q)^2 f) over the
+    whole line, mapped onto (-1, 1) on the scale of the law's sd, the
+    independent cross-check; it runs to relative ``_REL_TOL`` in at most
+    ``_MAX_REFINEMENTS`` rounds.  Inside the validated region the two
+    methods agree to that accuracy; outside it the cross-check may raise
+    QuadratureError where the default succeeds.
     """
     if method not in ("hermite", "quadrature"):
         raise ValidationError(f"unknown stats method {method!r}")
-    _warn_if_unvalidated(spec)
-    plan = _plan(spec)
-    _q, bias, var = _moments(spec)
-    mass = plan.mass
-    if method == "quadrature":
-        h = math.sqrt(var)
+    law = EstimatorLaw(spec)
+    st = law.stats()
+    if method == "hermite":
+        return st
+    h, q = math.sqrt(st.variance), law.q_true
 
-        def moment_parts(x):   # z - q = h x/(1 - x^2) maps (-1, 1) onto the line
-            w = 1.0 - x * x
-            d = h * x / w
-            fj = _density_from_plan(plan, plan.q_true + d) * (h * (1.0 + x * x) / (w * w))
-            return np.column_stack([fj, d * fj, d * d * fj])
+    def moment_parts(x):   # z - q = h x/(1 - x^2) maps (-1, 1) onto the line
+        w = 1.0 - x * x
+        d = h * x / w
+        fj = law.density(q + d) * (h * (1.0 + x * x) / (w * w))
+        return np.column_stack([fj, d * fj, d * d * fj])
 
-        totals, _err, _nodes, _weights = adaptive_rule(moment_parts, -1.0, 1.0,
-                                                       _REL_TOL, _MAX_REFINEMENTS)
-        mass, bias, second = (float(v) for v in totals)
-        var = second - bias * bias
-    mean = plan.q_true + bias
-    return QuantileStats(
-        mean=mean,
-        variance=var,
-        bias=mean - plan.q_true,
-        true_quantile=plan.q_true,
-        normalization_defect=abs(mass - 1.0),
-    )
+    totals, _err, _nodes, _weights = adaptive_rule(moment_parts, -1.0, 1.0,
+                                                   _REL_TOL, _MAX_REFINEMENTS)
+    mass, bias, second = (float(v) for v in totals)
+    mean = q + bias
+    return QuantileStats(mean=mean, variance=second - bias * bias, bias=mean - q,
+                         true_quantile=q, normalization_defect=abs(mass - 1.0))
 
 
 def bias_variance_surface(n_values, xi_values, alpha: ConfidenceLevel,
@@ -468,13 +475,15 @@ def bias_variance_surface(n_values, xi_values, alpha: ConfidenceLevel,
 
     Every cell's spec is validated before any quadrature; then each cell
     carries the exact moments that ``stats`` returns for its spec, from
-    ``_moments`` alone, with no u-rule.
+    ``EstimatorLaw.moments`` alone, with no u-rule.
     """
     specs = [DensitySpec(n=int(n), alpha=alpha, sigma=sigma, xi=float(xi))
              for n in n_values for xi in xi_values]
     rows = []
     for spec in specs:
-        q, bias, var = _moments(spec)
+        law = EstimatorLaw(spec)
+        bias, var = law.moments()
         # the bias as stats reports it, the mean q + bias less q
-        rows.append(SurfaceRow(n=spec.n, xi=spec.xi, bias=(q + bias) - q, variance=var))
+        bias = (law.q_true + bias) - law.q_true
+        rows.append(SurfaceRow(n=spec.n, xi=spec.xi, bias=bias, variance=var))
     return BiasSurface(alpha=alpha, sigma=sigma, rows=tuple(rows))

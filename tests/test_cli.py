@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import tailgauge as tg
 from tailgauge import cli
 from tailgauge.cli import _emit_json, main, read_series
-from tailgauge.density import _cdf_from_plan, _moments, _plan
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +221,7 @@ class TestFitCommand:
     def test_unresolvable_law_exits_3(self, tmp_path, capsys):
         # n_hat = 10 with xi_hat near 3.8: up to alpha 0.9999 the law's exact
         # bias is finite (negative and huge, -1.2e49 at 0.9995); at 0.99999
-        # its moments overflow a double
+        # its variance, 1.1e300 sigma_hat^2 = 3.4e317, overflows a double
         p = tmp_path / "heavy.csv"
         x = np.random.default_rng(3).pareto(0.15, 100)
         p.write_text("".join(f"{float(v)!r}\n" for v in x))
@@ -235,7 +234,7 @@ class TestFitCommand:
         capsys.readouterr()
         assert main(["fit", str(p), "--alpha", "0.99999"]) == 3
         err = capsys.readouterr().err
-        assert "n=10" in err and "not finite" in err
+        assert "n=10" in err and "the variance overflows a double" in err
 
     @pytest.mark.parametrize("alpha", ["0.999", "0.99"])
     @pytest.mark.parametrize("draw, warning", [
@@ -253,10 +252,11 @@ class TestFitCommand:
         assert rep["warnings"] == [warning]
         assert np.isfinite(rep["bias_applied"])
         if alpha == "0.99":     # the law as is, e.g. -0.00237 for the Beta
-            q, bias, _var = _moments(tg.DensitySpec(
+            law = tg.EstimatorLaw(tg.DensitySpec(
                 n=rep["n_hat"], alpha=tg.ConfidenceLevel(0.99), sigma=rep["sigma_hat"],
                 xi=rep["xi_hat"], allow_unvalidated=True))
-            assert rep["bias_applied"] == (q + bias) - q
+            bias, _var = law.moments()
+            assert rep["bias_applied"] == (law.q_true + bias) - law.q_true
 
     def test_determinism(self, big_series, tmp_path):
         path, _ = big_series
@@ -306,9 +306,11 @@ class TestDensityCommand:
 
     def test_unresolvable_spec_exits_3(self, tmp_path, capsys):
         # psi underflows on the u-range, so the grid's quantile bracket is
-        # not finite; a typed error, not an OOM or a grid of NaN
-        assert main(["density", "--n", "10", "--xi", "5", "--alpha", "0.99999",
-                     "--override-region", "--out", str(tmp_path / "d.csv")]) == 3
+        # not finite; a typed error, not an OOM or a grid of NaN, after the
+        # region warning
+        with pytest.warns(tg.OutsideValidatedRegionWarning):
+            assert main(["density", "--n", "10", "--xi", "5", "--alpha", "0.99999",
+                         "--override-region", "--out", str(tmp_path / "d.csv")]) == 3
         assert "n=10, xi=5.0" in capsys.readouterr().err
 
     def test_grid_ends_are_the_tail_quantiles(self, tmp_path):
@@ -318,9 +320,9 @@ class TestDensityCommand:
         assert main(["density", "--n", "50", "--xi", "0", "--out", str(out)]) == 0
         z = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
         spec = tg.DensitySpec(n=50, alpha=tg.ConfidenceLevel(0.999), sigma=1.0, xi=0.0)
-        plan = _plan(spec)
-        g = _cdf_from_plan(plan, z[:1])[0]
-        s = _cdf_from_plan(plan, z[-1:], upper=True)[0]
+        law = tg.EstimatorLaw(spec)
+        g = law.cdf(z[0])
+        s = law.sf(z[-1])
         assert g == pytest.approx(1e-4, rel=1e-7)
         assert s == pytest.approx(1e-4, rel=1e-7)
 
@@ -379,6 +381,22 @@ class TestBiasTableCommand:
         out = tmp_path / "tab.csv"
         assert main(["bias-table", "--alpha", alpha, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_moments_scale_with_sigma(capsys):
+    # the bias scales as sigma and the variance as sigma^2, so a sigma whose
+    # moments fit a double resolves: 5e152 times the sigma-1 bias, and a
+    # variance of 1.0076e308; at (50, 0.5) and 1e152 it is 2.1e308
+    assert main(["bias-table", "--grid-n", "50", "--grid-xi", "0.25"]) == 0
+    _n, _xi, _a, _s, bias, _var = capsys.readouterr().out.splitlines()[1].split(",")
+    assert main(["bias-table", "--grid-n", "50", "--grid-xi", "0.25",
+                 "--sigma", "5e152"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[4]) == pytest.approx(5e152 * float(bias), rel=1e-8)
+    assert row[5] == "1.00758959e+308"
+    assert main(["bias-table", "--grid-n", "50", "--grid-xi", "0.5",
+                 "--sigma", "1e152"]) == 3
+    assert "n=50, xi=0.5): the variance overflows a double" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

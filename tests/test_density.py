@@ -12,8 +12,7 @@ from scipy import integrate, special
 
 import tailgauge as tg
 from tailgauge.quadrature import adaptive_rule
-from tailgauge.density import (_ERFC_ZERO, _REL_TOL, _cdf_from_plan, _conditional_law,
-                               _erfc, _estimator_quantiles, _moments, _plan,
+from tailgauge.density import (_ERFC_ZERO, _REL_TOL, _conditional_law, _erfc,
                                evaluation_window)
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -79,10 +78,10 @@ def _gauss_hermite_moments(spec):
 def _u_rule_moments(spec):
     """The oracle the r-integrals replace: the bias ``E_u (m/psi - q)`` and
     the variance from ``E_u ((m/psi - q)^2 + (s/psi)^2)``, as u-sums on
-    ``_plan``'s rule."""
-    plan = _plan(spec)
-    g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
-    w, d = plan.u_weights * g, m / pu - plan.q_true
+    the law's u-rule."""
+    law = tg.EstimatorLaw(spec)
+    g, pu, m, s = _conditional_law(law.normal, law.t, law.u_rule.nodes)
+    w, d = law.u_rule.weights * g, m / pu - law.q_true
     bias = w @ d
     return bias, w @ (d * d + (s / pu) ** 2) - bias * bias
 
@@ -103,13 +102,13 @@ def _series_coefficient(k, xi, alpha=0.999, sigma=1.0):
 
 
 def _bracket_density(spec, z):
-    """The paper's bracket form of the density on the plan's u-rule:
+    """The paper's bracket form of the density on the law's u-rule:
     n/(2 pi sigma sqrt(1 + 4 xi + 5 xi^2 + 2 xi^3)) times the u-sum of
     psi exp(-(n/(1+2 xi)) [bracket])."""
-    plan = _plan(spec)
+    law = tg.EstimatorLaw(spec)
     xi, sigma, n = spec.xi, spec.sigma, spec.n
-    u = plan.u_nodes
-    pu = u / np.expm1(plan.t * u)
+    u = law.u_rule.nodes
+    pu = u / np.expm1(law.t * u)
     du = u - xi
     r = pu[:, None] * z[None, :] - sigma
     br = (du * du / (1.0 + xi))[:, None] \
@@ -117,7 +116,7 @@ def _bracket_density(spec, z):
         + r * r / (2.0 * sigma * sigma)
     poly = 1.0 + 4.0 * xi + 5.0 * xi**2 + 2.0 * xi**3
     pre = n / (2.0 * math.pi * sigma * math.sqrt(poly))
-    return pre * (plan.u_weights @ (pu[:, None] * np.exp(-(n / (1.0 + 2.0 * xi)) * br)))
+    return pre * (law.u_rule.weights @ (pu[:, None] * np.exp(-(n / (1.0 + 2.0 * xi)) * br)))
 
 
 class TestSpecValidation:
@@ -288,9 +287,9 @@ class TestCdf:
         below = mass(-math.inf, lo)
         for q in qs:
             assert abs(tg.cdf_of_estimator(spec, q) - (below + mass(lo, q))) <= 1e-8
-        plan = _plan(spec)
-        for q in (*qs, _estimator_quantiles(plan, [1 - 1e-4])[0]):
-            s = _cdf_from_plan(plan, np.array([q]), upper=True)[0]
+        law = tg.EstimatorLaw(spec)
+        for q in (*qs, law.quantile([1 - 1e-4])[0]):
+            s = law.sf(q)
             assert abs(s - mass(q, math.inf)) <= 1e-8
 
     @pytest.mark.parametrize("n, xi, q", [
@@ -300,7 +299,7 @@ class TestCdf:
     ])
     def test_far_tail_survival_matches_split_oracle(self, n, xi, q):
         spec = _spec(n, xi)
-        s = _cdf_from_plan(_plan(spec), np.array([q]), upper=True)[0]
+        s = tg.EstimatorLaw(spec).sf(q)
         assert s == pytest.approx(_oracle_tail_mass(spec, q), rel=1e-12, abs=0.0)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -311,7 +310,7 @@ class TestCdf:
         # worst |F(F^-1(p)) - p| over 23,000 random (spec, p) draws from
         # these ranges: 2.4e-15 (median 7.8e-16), about 11 ulp of p = 0.5
         spec = _spec(n, xi, alpha=alpha, sigma=sigma)
-        q = _estimator_quantiles(_plan(spec), np.array([p]))
+        q = tg.EstimatorLaw(spec).quantile(np.array([p]))
         assert abs(tg.cdf_of_estimator(spec, q)[0] - p) <= 5e-15
 
     def test_erfc_against_scipy(self):
@@ -384,9 +383,10 @@ class TestStats:
         # psi^-2 ~ exp(2 t u) pulls the second moment far above xi; the
         # r-integrals take it whole, with no truncated u-range
         spec = _spec(n, xi, allow_unvalidated=True)
-        q, bias, var = _moments(spec)
+        law = tg.EstimatorLaw(spec)
+        bias, var = law.moments()
         mean, ref_var = _gauss_hermite_moments(spec)
-        assert q + bias == pytest.approx(mean, rel=1e-8)
+        assert law.q_true + bias == pytest.approx(mean, rel=1e-8)
         assert var == pytest.approx(ref_var, rel=1e-8)
 
     def test_bias_below_three_percent_at_n_1e4(self):
@@ -472,18 +472,17 @@ class TestSurface:
         assert tg.bias_variance_surface([], tg.DEFAULT_XI_GRID, A999, 1.0).rows == ()
 
     def test_failing_cell_is_named(self):
-        # at sigma 1e152 the second moment of (50, 0.5) overflows a double,
-        # while (1000, 0.5) resolves; the surface raises that cell's error
-        msg = ("moments failed at (n=50, xi=0.5): no convergence after 21 refinement "
-               "rounds (the integrand is not finite on [0, 1])")
+        # at sigma 1e152 the variance of (50, 0.5), 2.1e308, overflows a
+        # double, while (1000, 0.5) resolves; the surface raises that cell's error
+        msg = "moments failed at (n=50, xi=0.5): the variance overflows a double"
         with pytest.raises(tg.QuadratureError) as exc:
             tg.bias_variance_surface([1000, 50], [0.5], A999, 1e152)
         assert str(exc.value) == msg
 
     @pytest.mark.parametrize("n_values, xi, named, sigma", [
-        ([50, 60], 0.25, "n=50, xi=0.25): no convergence", 5e152),
-        ([1000, 50], 0.5, "n=50, xi=0.5): no convergence", 1e152),
-        ([50, 1000], 0.5, "n=50, xi=0.5): no convergence", 1e152),
+        ([50, 60], 0.25, "n=50, xi=0.25): the variance overflows", 1e153),
+        ([1000, 50], 0.5, "n=50, xi=0.5): the variance overflows", 1e152),
+        ([50, 1000], 0.5, "n=50, xi=0.5): the variance overflows", 1e152),
     ])
     def test_first_failing_cell_in_row_major_order_is_named(self, n_values, xi, named, sigma):
         # both cells fail, or only the second, or only the first
@@ -503,7 +502,7 @@ def test_accuracy_change_reaches_every_entry_point(monkeypatch, fig1_spec):
     # the u-rule, stats, the CDF and the window, which a cache would hide
     tg.stats(fig1_spec)
     evaluation_window(fig1_spec)
-    _plan(fig1_spec)
+    tg.EstimatorLaw(fig1_spec).u_rule
     module = importlib.import_module("tailgauge.density")
     monkeypatch.setattr(module, "_REL_TOL", 1e-15)
     monkeypatch.setattr(module, "_MAX_REFINEMENTS", 0)
@@ -514,7 +513,31 @@ def test_accuracy_change_reaches_every_entry_point(monkeypatch, fig1_spec):
     with pytest.raises(tg.QuadratureError):
         evaluation_window(fig1_spec)
     with pytest.raises(tg.QuadratureError):
-        _plan(fig1_spec)
+        tg.EstimatorLaw(fig1_spec).u_rule
+
+
+def test_one_law_builds_one_u_rule(monkeypatch):
+    # every method of one law shares its u-rule; the moments add one r-rule
+    # and build no u-rule, so they warn of no region (the route of fit and
+    # of the surface)
+    module = importlib.import_module("tailgauge.density")
+    calls = []
+
+    def spy(f, lo, hi, *args):
+        calls.append((lo, hi))
+        return adaptive_rule(f, lo, hi, *args)
+
+    monkeypatch.setattr(module, "adaptive_rule", spy)
+    law = tg.EstimatorLaw(_spec(100, 0.25))
+    lo, hi = law.quantile((1e-4, 1 - 1e-4))
+    law.density(np.linspace(lo, hi, 9))
+    law.cdf(lo), law.sf(hi), law.stats()
+    assert len(calls) == 2 and calls[1] == (0.0, 1.0)
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", tg.OutsideValidatedRegionWarning)
+        bias, var = tg.EstimatorLaw(_spec(10, 1.0, allow_unvalidated=True)).moments()
+    assert calls == [(0.0, 1.0)] and math.isfinite(bias) and math.isfinite(var)
 
 
 def test_moments_against_scipy_z_integration(fig1_spec):
@@ -540,9 +563,9 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
 
     monkeypatch.setattr(module, "adaptive_rule", spy)
     spec = _spec(n, xi)
-    plan = _plan(spec)
+    law = tg.EstimatorLaw(spec)
     lo, hi = evaluation_window(spec)
-    assert lo < plan.q_true < hi
+    assert lo < law.q_true < hi
     assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
     assert tg.stats(spec).normalization_defect <= 1e-6
     assert calls and (-1.0, 1.0) not in calls
@@ -570,12 +593,14 @@ def test_quantiles_do_not_follow_the_u_sum_order(n, xi, ulps):
     # few ulp of rounding, which can move an end of the final bracket by one
     # double; at (50, 0.5) that shows as 2 ulp of the returned midpoint
     probs = (1e-4, 1 - 1e-4)
-    plan = _plan(_spec(n, xi))
-    ref = _estimator_quantiles(plan, probs)
+    law = tg.EstimatorLaw(_spec(n, xi))
+    ref = law.quantile(probs)
+    rule = law.u_rule
     for seed in range(8):
-        k = np.random.default_rng(seed).permutation(plan.u_nodes.size)
-        permuted = plan._replace(u_nodes=plan.u_nodes[k], u_weights=plan.u_weights[k])
-        got = _estimator_quantiles(permuted, probs)
+        k = np.random.default_rng(seed).permutation(rule.nodes.size)
+        permuted = tg.EstimatorLaw(law.spec)
+        permuted.u_rule = rule._replace(nodes=rule.nodes[k], weights=rule.weights[k])
+        got = permuted.quantile(probs)
         assert np.all(np.abs(got - ref) <= ulps * np.spacing(ref)), (seed, got - ref)
 
 
@@ -599,13 +624,15 @@ def test_estimator_law_reads_asymptotic_covariance_alone(monkeypatch):
 def test_quantile_bracket_holds_no_mass_beyond_it(n, xi):
     # past (m -+ K s)/psi every node's erfc argument reaches _ERFC_ZERO, so
     # the bisection's bracket has G = 0 below it and S = 0 above it exactly
-    plan = _plan(_spec(n, xi, allow_unvalidated=True))
-    _g, pu, m, s = _conditional_law(plan.law, plan.t, plan.u_nodes)
+    law = tg.EstimatorLaw(_spec(n, xi, allow_unvalidated=True))
+    with warnings.catch_warnings():   # (10, 1.0) lies outside the region
+        warnings.simplefilter("ignore", tg.OutsideValidatedRegionWarning)
+        _g, pu, m, s = _conditional_law(law.normal, law.t, law.u_rule.nodes)
     reach = _ERFC_ZERO * math.sqrt(2.0) * s
     lo, hi = np.min((m - reach) / pu), np.max((m + reach) / pu)
-    assert _cdf_from_plan(plan, np.array([lo]))[0] == 0.0
-    assert _cdf_from_plan(plan, np.array([hi]), upper=True)[0] == 0.0
-    q = _estimator_quantiles(plan, (1e-300, 0.5, 1.0 - 2.0 ** -53))
+    assert law.cdf(lo) == 0.0
+    assert law.sf(hi) == 0.0
+    q = law.quantile((1e-300, 0.5, 1.0 - 2.0 ** -53))
     assert np.all((lo < q) & (q < hi))
 
 
@@ -613,7 +640,7 @@ def test_quantile_bracket_holds_no_mass_beyond_it(n, xi):
 def test_quantile_probability_outside_the_unit_interval_raises(fig1_spec, p):
     # no bracket end comes back as a quantile
     with pytest.raises(tg.ValidationError, match="probabilities"):
-        _estimator_quantiles(_plan(fig1_spec), (0.5, p))
+        tg.EstimatorLaw(fig1_spec).quantile((0.5, p))
 
 
 def test_window_covers_mass(fig1_spec, fig1_stats):
@@ -630,10 +657,10 @@ def test_conditional_normal_density_matches_bracket_form(n, xi, alpha, sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tg.OutsideValidatedRegionWarning)
         lo, hi = evaluation_window(spec)
-        core = _estimator_quantiles(_plan(spec), (1e-4, 1 - 1e-4))
+        core = tg.EstimatorLaw(spec).quantile((1e-4, 1 - 1e-4))
         z = np.concatenate([np.linspace(lo, hi, 2001), np.linspace(*core, 2001)])
         mine = tg.density(spec, z)
-    ref = _bracket_density(spec, z)
+        ref = _bracket_density(spec, z)
     assert np.abs(mine - ref).max() <= 1e-13 * ref.max()
 
 
@@ -643,8 +670,9 @@ def test_stats_returns_plan_moments_where_no_moment_window_closes(n, xi):
     spec = _spec(n, xi, allow_unvalidated=True)
     with pytest.warns(tg.OutsideValidatedRegionWarning):
         st = tg.stats(spec)
-    q, bias, var = _moments(spec)
-    assert (st.mean, st.variance) == (q + bias, var)
+    law = tg.EstimatorLaw(spec)
+    bias, var = law.moments()
+    assert (st.mean, st.variance) == (law.q_true + bias, var)
     assert st.normalization_defect <= 1e-6
 
 
@@ -653,8 +681,8 @@ def test_default_stats_defect_matches_whole_line_z_quadrature(n, xi):
     # the defect is the u-rule's mass, the integral of f over the whole
     # line; the z-quadrature of f over the whole line finds the same mass
     spec = _spec(n, xi)
-    plan = _plan(spec)
-    mass = plan.u_weights @ _conditional_law(plan.law, plan.t, plan.u_nodes)[0]
+    law = tg.EstimatorLaw(spec)
+    mass = law.u_rule.weights @ _conditional_law(law.normal, law.t, law.u_rule.nodes)[0]
     defect = tg.stats(spec).normalization_defect
     assert abs(defect - abs(mass - 1.0)) <= 1e-15   # the order of the sum
     assert abs(tg.stats(spec, method="quadrature").normalization_defect - defect) <= 1e-11
@@ -674,7 +702,8 @@ def test_moments_scale_as_one_over_n_until_the_bias_drowns_in_rounding():
     # of q only, which at n = 1e16 is a tenth of it
     mid = tg.stats(_spec(10**6, 0.25))
     for n in (10**8, 10**12, 10**16):
-        q, bias, var = _moments(_spec(n, 0.25))
+        law = tg.EstimatorLaw(_spec(n, 0.25))
+        (bias, var), q = law.moments(), law.q_true
         assert bias * n == pytest.approx(mid.bias * 1e6, rel=1e-4)
         assert var * n == pytest.approx(mid.variance * 1e6, rel=1e-4)
     st = tg.stats(_spec(10**16, 0.25))
@@ -728,7 +757,7 @@ def test_moments_match_the_u_rule_moment_sums(xis):
     for n in tg.DEFAULT_N_GRID:
         for xi in xis:
             spec = _spec(n, xi)
-            _q, bias, var = _moments(spec)
+            bias, var = tg.EstimatorLaw(spec).moments()
             ref_bias, ref_var = _u_rule_moments(spec)
             assert bias == pytest.approx(ref_bias, rel=1e-12, abs=0.0), (n, xi)
             assert var == pytest.approx(ref_var, rel=1e-12, abs=0.0), (n, xi)
@@ -741,9 +770,10 @@ def test_moments_match_the_u_rule_moment_sums(xis):
 ])
 def test_moments_match_gauss_hermite_in_and_out_of_region(n, xi, alpha, sigma):
     spec = _spec(n, xi, alpha=alpha, sigma=sigma, allow_unvalidated=True)
-    q, bias, var = _moments(spec)
+    law = tg.EstimatorLaw(spec)
+    bias, var = law.moments()
     mean, ref_var = _gauss_hermite_moments(spec)
-    assert q + bias == pytest.approx(mean, rel=1e-8)
+    assert law.q_true + bias == pytest.approx(mean, rel=1e-8)
     assert var == pytest.approx(ref_var, rel=1e-8)
 
 
@@ -758,7 +788,7 @@ def test_bias_is_the_papers_one_over_n_series(xi):
     # below 1e-9 of the first term
     b1, b2 = _series_coefficient(1, xi), _series_coefficient(2, xi)
     for n in (10**6, 10**8, 10**10, 10**12):
-        _q, bias, _var = _moments(_spec(n, xi))
+        bias, _var = tg.EstimatorLaw(_spec(n, xi)).moments()
         assert n * bias == pytest.approx(b1 + b2 / n, rel=1e-9, abs=0.0), n
 
 

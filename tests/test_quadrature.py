@@ -142,9 +142,9 @@ def test_plan_u_rule_is_the_plain_refinement_loop(monkeypatch):
             return adaptive_rule(f, lo, hi, rel_tol, max_rounds)
 
         monkeypatch.setattr(density, "adaptive_rule", spy)
-        plan = density._plan(tg.DensitySpec(n=n, alpha=level, sigma=1.0, xi=xi))
+        rule = tg.EstimatorLaw(tg.DensitySpec(n=n, alpha=level, sigma=1.0, xi=xi)).u_rule
         (f, lo, hi, rel_tol, max_rounds), = seen
         total, nodes, weights = _lone_rule(f, lo, hi, rel_tol, max_rounds)
-        np.testing.assert_array_equal(plan.u_nodes, nodes)
-        np.testing.assert_array_equal(plan.u_weights, weights)
-        assert plan.mass == pytest.approx(total[0], rel=1e-14, abs=0.0)
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.weights, weights)
+        assert rule.mass == pytest.approx(total[0], rel=1e-14, abs=0.0)
