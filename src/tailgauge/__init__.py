@@ -9,7 +9,27 @@ whole estimation experiment for validation.
 ``tailgauge.density`` is the re-exported function ``density.density``, which
 shadows its submodule: ``import tailgauge.density as D`` binds the function.
 Reach the module with ``importlib.import_module("tailgauge.density")``.
+
+If tailgauge is what loads numpy, and no OpenBLAS thread count is set, numpy's
+OpenBLAS loads single-threaded: the package's largest matrix product is
+540 x 60, and the idle workers of a default pool busy-wait for about 0.11 s
+of CPU in every process.  Import numpy first, or set ``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS``, to keep the pool.
 """
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads its thread count once, when numpy loads it; the variable is
+# gone again afterwards, so child processes and a later BLAS (SciPy's own)
+# keep their defaults
+if "numpy" not in _sys.modules and _os.environ.keys().isdisjoint(
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .bias import (BiasLawParams, BiasSurface, CALIBRATED_PARAMS,
                    PRACTICAL_PARAMS, SurfaceRow, bias_law, bias_practical,

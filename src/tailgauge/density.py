@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,6 +70,9 @@ _U_HALFWIDTH_SDS = 10.0
 _PROBE_SDS = np.array([-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0])
 # the estimator's mass that evaluation_window leaves below and above it
 _WINDOW_TAIL = 1e-12
+# the frames a region warning skips to reach the user's call
+_PACKAGE_DIR = os.path.dirname(__file__)
+_CACHED_PROPERTY_GET = functools.cached_property.__get__.__code__
 
 # rational approximations of erf/erfc (Cody 1969, Math. Comp. 23, as in his
 # CALERF): |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4
@@ -242,6 +247,20 @@ def _u_sum(weights: np.ndarray, size: int, matrix) -> np.ndarray:
     return out
 
 
+def _user_stacklevel() -> int:
+    """The ``stacklevel`` at which ``warnings.warn``, called by this helper's
+    caller, names the first frame outside the package: the user's own line,
+    through any chain of package calls and the ``functools.cached_property``
+    that builds ``EstimatorLaw.u_rule``.  (``skip_file_prefixes`` does this
+    from Python 3.12 on; the package supports 3.10.)"""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and (
+            os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR
+            or frame.f_code is _CACHED_PROPERTY_GET):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 class EstimatorLaw:
     """The finite-sample law of the quantile estimator at one spec: the limiting
     normal law of (u, v) (``normal``), ``t = -log(1 - alpha)``, the true
@@ -271,7 +290,7 @@ class EstimatorLaw:
             warnings.warn(
                 f"(n={spec.n}, xi={spec.xi}) lies outside the validated region; "
                 "results are an unchecked extrapolation",
-                OutsideValidatedRegionWarning, stacklevel=4)
+                OutsideValidatedRegionWarning, stacklevel=_user_stacklevel())
         failed = f"u-rule failed at (n={spec.n}, xi={spec.xi})"
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             _g, psi_k, m_k, _s = _conditional_law(law, t,

@@ -134,6 +134,26 @@ class TestSpecValidation:
         with pytest.warns(tg.OutsideValidatedRegionWarning):
             tg.density(spec, 10.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda spec: tg.EstimatorLaw(spec).density(10.0),
+        lambda spec: tg.EstimatorLaw(spec).cdf(10.0),
+        lambda spec: tg.EstimatorLaw(spec).sf(10.0),
+        lambda spec: tg.EstimatorLaw(spec).quantile((0.5,)),
+        lambda spec: tg.EstimatorLaw(spec).stats(),
+        lambda spec: tg.density(spec, 10.0),
+        lambda spec: tg.cdf_of_estimator(spec, 10.0),
+        lambda spec: tg.stats(spec),
+    ], ids=["law.density", "law.cdf", "law.sf", "law.quantile", "law.stats",
+            "density", "cdf_of_estimator", "stats"])
+    def test_region_warning_names_the_callers_line(self, call):
+        # the default filter shows a warning once per location, so it must
+        # name the user's line, not one inside the package
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            call(_spec(30, 0.25, allow_unvalidated=True))
+        assert [w.category for w in rec] == [tg.OutsideValidatedRegionWarning]
+        assert rec[0].filename == __file__
+
     def test_shape_hard_limit(self):
         # the density formula itself needs xi > -0.5, override or not
         with pytest.raises(tg.ValidationError):
