@@ -61,45 +61,41 @@ def _scaled_expm1(xi, t) -> np.ndarray:
     ``xi`` and ``t`` broadcast against each other.
     """
     xi, t = np.asarray(xi, dtype=float), np.asarray(t, dtype=float)
-    # the product alone: with the mask passes also under errstate, glibc's
-    # heap layout moved and a fresh R=2000 `simulate` peaked 1.2 MB higher
-    with np.errstate(invalid="ignore"):   # 0 * inf
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0 * inf, x / 0
         z = xi * t
-    direct = np.abs(z) >= _TINY
-    direct |= np.isnan(xi)   # in place: no second mask over a sample block
-    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.abs(z) >= _TINY
+        direct |= np.isnan(xi)   # in place: no second mask
         return np.where(direct, np.expm1(z) / xi, t)
 
 
 def _log1p_over_xi(xi: float, s) -> np.ndarray:
     """log(1 + xi*s)/xi elementwise, with the xi -> 0 limit s; a NaN xi gives NaN."""
     s = np.asarray(s, dtype=float)
-    with np.errstate(invalid="ignore"):   # 0 * inf
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0 * inf, x / 0
         z = xi * s
-    direct = np.abs(z) >= _TINY
-    direct |= np.isnan(xi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.abs(z) >= _TINY
+        direct |= np.isnan(xi)
         return np.where(direct, np.log1p(z) / xi, s)
 
 
 def cdf(p: GpdParams, x):
-    """Distribution function; clamps to 0 below and 1 above the support."""
+    """Distribution function; clamps to 0 below and 1 above the support, NaN at NaN."""
     x = np.asarray(x, dtype=float)
     # evaluate only strictly inside the support so 1 + xi*s stays positive
     inside = (x >= 0.0) & (x < p.support_upper)
     s = np.where(inside, x, 0.0) / p.sigma
     val = -np.expm1(-_log1p_over_xi(p.xi, s))
-    out = np.where(x < 0.0, 0.0, np.where(inside, val, 1.0))
+    out = np.select([inside, x < 0.0, x >= p.support_upper], [val, 0.0, 1.0], np.nan)
     return float(out) if out.ndim == 0 else out
 
 
 def pdf(p: GpdParams, x):
-    """Density function; zero outside the support."""
+    """Density function; zero outside the support, NaN at NaN."""
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x < p.support_upper)
     s = np.where(inside, x, 0.0) / p.sigma
     val = np.exp(-(1.0 + p.xi) * _log1p_over_xi(p.xi, s)) / p.sigma
-    out = np.where(inside, val, 0.0)
+    out = np.select([inside, np.isnan(x)], [val, np.nan], 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -134,8 +130,8 @@ def sample(p: GpdParams, rng: np.random.Generator, count: int) -> np.ndarray:
 
     The generator is owned by the caller; draws are deterministic given its
     state and must not be shared across threads.  The transform is
-    ``_from_uniform``, which the Monte Carlo harness applies to a whole
-    block of rows at once, so a row drawn there equals this function's draw.
+    ``_from_uniform``, which the Monte Carlo harness applies to slices of
+    a block of rows, so a row drawn there equals this function's draw.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")

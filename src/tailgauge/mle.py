@@ -14,8 +14,8 @@ Working in units of x/max(x) keeps the fit scale-equivariant.
 
 The search runs row-wise over an (R, n) block of samples (``fit_batch``):
 each row keeps its own grid, and each of its peaks its own bracket and
-stopping test; every step is one pass over the block, and ``fit`` is the
-one-row case.
+stopping test; every step is one pass over the block, a cache-sized slice of
+rows at a time, and ``fit`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gpd import _TINY, GpdParams
+from .quadrature import _WORKSPACE
 
 _log = logging.getLogger("tailgauge")
 
@@ -110,25 +111,41 @@ def log_likelihood(p: GpdParams, data) -> float:
     return float(_loglik(p.xi, p.sigma, x.ravel()))
 
 
-def _profile(w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Box-constrained profile log-likelihood of each row at its ``w``, and its xi.
+def _row_slices(rows: int, n: int):
+    """Slices of ``rows`` rows of length ``n``, each of at most _WORKSPACE
+    elements (one row where a row alone is longer).  Row-wise reductions
+    do not depend on the other rows, so slicing changes no result."""
+    step = max(1, _WORKSPACE // n)
+    return (slice(i, i + step) for i in range(0, rows, step))
 
-    Row r of ``y`` is a sample in units of its maximum, and
-    theta*max(x) = expm1(w[r]).  At fixed theta the likelihood peaks in xi at
-    mean(log1p(theta*y)), so clipping that peak to XI_BOX gives the
-    box-constrained optimum.
+
+def _profile(w: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box-constrained profile log-likelihood of row ``rows[i]`` of ``y`` at
+    ``w[i]``, and its xi.
+
+    Each row of ``y`` is a sample in units of its maximum, and for row
+    ``rows[i]`` theta*max(x) = expm1(w[i]).  At fixed theta the likelihood
+    peaks in xi at mean(log1p(theta*y)), so clipping that peak to XI_BOX
+    gives the box-constrained optimum.  The rows are evaluated a cache-sized
+    slice at a time, so no temporary is as large as ``y``.
     """
     n = y.shape[1]
     theta = np.expm1(w)
-    z = theta[:, None] * y
-    # in place: one fresh (R, n) buffer per pass, not two (3x faster at n=1e5)
-    s = np.log1p(z, out=z).sum(axis=1)
+    s = np.empty(theta.shape)
+    # one slice-sized buffer for every slice; "clip" only stops take from
+    # buffering its copy, as the rows are in range
+    buf = np.empty((min(rows.size, max(1, _WORKSPACE // n)), n))
+    for sl in _row_slices(rows.size, n):
+        r = rows[sl]
+        z = y.take(r, axis=0, out=buf[:r.size], mode="clip")
+        z *= theta[sl, None]
+        s[sl] = np.log1p(z, out=z).sum(axis=1)
     xi = np.minimum(np.maximum(s / n, XI_BOX[0]), XI_BOX[1])
     with np.errstate(divide="ignore", invalid="ignore"):
         val = -n * np.log(xi / theta) - (1.0 + 1.0 / xi) * s
     at_zero = theta == 0.0
     if at_zero.any():
-        val[at_zero] = -n * (np.log(y[at_zero].mean(axis=1)) + 1.0)
+        val[at_zero] = -n * (np.log(y[rows[at_zero]].mean(axis=1)) + 1.0)
         xi[at_zero] = 0.0
     return val, xi
 
@@ -139,25 +156,28 @@ def _check_rows(x: np.ndarray) -> None:
         raise ValidationError("data must be an (R, n) block with R >= 1 rows")
     if x.shape[1] < 2:
         raise ValidationError("need at least two observations")
-    finite = np.isfinite(x).all(axis=1)
+    # min and max carry any NaN or infinity of their row: no (R, n) mask
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    finite = np.isfinite(lo) & np.isfinite(hi)
     for bad, what in ((~finite, "data must be finite"),
-                      (finite & (x.min(axis=1) < 0.0), "exceedances must be nonnegative"),
-                      (finite & (x.max(axis=1) == x.min(axis=1)),
-                       "constant data: likelihood is degenerate")):
+                      (finite & (lo < 0.0), "exceedances must be nonnegative"),
+                      (finite & (hi == lo), "constant data: likelihood is degenerate")):
         if bad.any():
             where = f" (row {int(np.argmax(bad))})" if x.shape[0] > 1 else ""
             raise ValidationError(what + where)
 
 
-def _polish(y: np.ndarray, a, b, fa, fb, x, fx):
-    """Brent's maximization of each row's profile inside its bracket [a, b].
+def _polish(y: np.ndarray, rows: np.ndarray, a, b, fa, fb, x, fx):
+    """Brent's maximization of row profiles of ``y`` inside brackets [a, b].
 
-    Row c of ``y`` starts from its best point ``x`` (value ``fx``) between
-    the evaluated ends ``a`` and ``b`` (values ``fa`` and ``fb``).  Each round
-    takes a parabolic step through the three best points seen, or a
-    golden-section step into the larger side of the bracket where the
-    parabola is not trusted (Brent 1973, ch. 5), and stops once the bracket
-    around x is within _W_TOL.  Every round is one pass over the live rows.
+    Search c runs on row ``rows[c]`` of ``y`` (a row with several peaks is
+    searched once per peak) and starts from its best point ``x`` (value
+    ``fx``) between the evaluated ends ``a`` and ``b`` (values ``fa`` and
+    ``fb``).  Each round takes a parabolic step through the three best points
+    seen, or a golden-section step into the larger side of the bracket where
+    the parabola is not trusted (Brent 1973, ch. 5), and stops once the
+    bracket around x is within _W_TOL.  Every round is one pass over the rows
+    of the live searches.
     Returns the best point, its value, the final bracket and the number of
     rounds.
     """
@@ -174,8 +194,8 @@ def _polish(y: np.ndarray, a, b, fa, fb, x, fx):
             for o, val in zip(out, (x, fx, a, b)):
                 o[live[done]] = val[done]
             keep = ~done
-            live, y, a, b, x, fx, w, fw, v, fv, d, e = (
-                t[keep] for t in (live, y, a, b, x, fx, w, fw, v, fv, d, e))
+            live, rows, a, b, x, fx, w, fw, v, fv, d, e = (
+                t[keep] for t in (live, rows, a, b, x, fx, w, fw, v, fv, d, e))
             if not live.size:
                 return (*out, rounds)
         rounds += 1
@@ -199,7 +219,7 @@ def _polish(y: np.ndarray, a, b, fa, fb, x, fx):
         d = np.where(para, np.where(near_end, np.copysign(_W_TOL, mid - x), step),
                      _CGOLD * gold)
         u = x + np.where(np.abs(d) >= _W_TOL, d, np.copysign(_W_TOL, d))
-        fu = _profile(u, y)[0]
+        fu = _profile(u, y, rows)[0]
         up = fu >= fx
         a = np.where(up, np.where(u >= x, x, a), np.where(u < x, u, a))
         b = np.where(up, np.where(u >= x, b, x), np.where(u < x, b, u))
@@ -224,21 +244,25 @@ def fit_batch(data) -> MleBatch:
     x = np.asarray(data, dtype=float)
     _check_rows(x)
     rows, n = x.shape
+    every = np.arange(rows)
     scale = x.max(axis=1)
+    # x and this scaled copy are the only (R, n) arrays: every other pass
+    # over the block runs a _row_slices slice at a time
     y = x / scale[:, None]
     # The profile's slope brackets its maximizer.  Below -log1p(n) the point
     # at the support edge alone makes it increase.  Once theta*y >= 10 for
     # all but n/12 points it decreases, because 1 + 1/xi >= 1.2 in the box.
     j = n // 12
-    # a copy: a view would keep the whole partitioned block alive
-    y_j = np.partition(y, j, axis=1)[:, j].copy()
+    y_j = np.empty(rows)
+    for sl in _row_slices(rows, n):
+        y_j[sl] = np.partition(y[sl], j, axis=1)[:, j]
     with np.errstate(divide="ignore"):
         w_hi = np.where(y_j > 0.0, np.minimum(np.log1p(10.0 / y_j), _W_MAX), _W_MAX)
     grid = np.linspace(np.full(rows, -math.log1p(n)), w_hi, _N_GRID, axis=1)
     # the grid one point at a time: an (R, n) pass each, no (R, G, n) block
     val = np.empty((rows, _N_GRID))
     for k in range(_N_GRID):
-        val[:, k] = _profile(grid[:, k], y)[0]
+        val[:, k] = _profile(grid[:, k], y, every)[0]
 
     # every local maximum of the grid is a candidate, ends included; each is
     # polished between its neighbours and the best one wins its row
@@ -246,32 +270,33 @@ def fit_batch(data) -> MleBatch:
     peak[:, 1:] &= val[:, 1:] > val[:, :-1]
     peak[:, :-1] &= val[:, :-1] >= val[:, 1:]
     cand_r, cand_k = np.nonzero(peak)
-    peaks = np.bincount(cand_r, minlength=rows)
     lo = (cand_r, np.maximum(cand_k - 1, 0))
     hi = (cand_r, np.minimum(cand_k + 1, _N_GRID - 1))
     at = (cand_r, cand_k)
-    # a row with several peaks is polished once per peak, on gathered copies
-    w, f, a, b, rounds = _polish(
-        y if (peaks == 1).all() else y[cand_r], grid[lo], grid[hi], val[lo], val[hi],
-        grid[at], val[at])
+    w, f, a, b, rounds = _polish(y, cand_r, grid[lo], grid[hi], val[lo], val[hi],
+                                 grid[at], val[at])
     # per row the candidate of largest value, the first one on ties
     order = np.lexsort((-f, cand_r))
     pick = order[np.r_[True, cand_r[order[1:]] != cand_r[order[:-1]]]]
     w, a, b = w[pick], a[pick], b[pick]
-    xi = _profile(w, y)[1]
+    xi = _profile(w, y, every)[1]
+    del y
     theta = np.expm1(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         sigma = np.where(theta != 0.0, scale * xi / theta, x.mean(axis=1))
+    ll = np.empty(rows)
+    for sl in _row_slices(rows, n):
+        ll[sl] = _loglik(xi[sl], sigma[sl], x[sl])
     # a maximizer whose final bracket still touches an end of the grid is
     # the bracket's edge, not a stationary point
     converged = (a > grid[:, 0]) & (b < grid[:, -1])
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("mle fit_batch: %d rows of n=%d, %d polish rounds, "
                    "%d rows with several grid peaks, %d box-edge hits, "
-                   "%d not converged", rows, n, rounds, int((peaks > 1).sum()),
+                   "%d not converged", rows, n, rounds,
+                   int((np.bincount(cand_r, minlength=rows) > 1).sum()),
                    int(np.isin(xi, XI_BOX).sum()), int((~converged).sum()))
-    return MleBatch(xi_hat=xi, sigma_hat=sigma, log_likelihood=_loglik(xi, sigma, x),
-                    converged=converged)
+    return MleBatch(xi_hat=xi, sigma_hat=sigma, log_likelihood=ll, converged=converged)
 
 
 def fit(data) -> MleEstimate:

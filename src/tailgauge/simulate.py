@@ -6,9 +6,9 @@ counter-based stream, Philox keyed by (seed, r), so results are bitwise
 reproducible and independent of any execution order.  One Philox generator
 serves the whole run: it is re-keyed to (seed, r) before row r is drawn.
 Samples are drawn and fitted a block of rows at a time: each row's uniforms
-come from its own stream, the whole block shares one inverse transform
-(``gpd.sample``'s), and the row-wise MLE search fits each row on its own, so
-results do not depend on the block size either.
+come from its own stream, the inverse transform (``gpd.sample``'s) runs in
+place on cache-sized slices of the block's rows, and the row-wise MLE search
+fits each row on its own, so results do not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .density import DensitySpec, cdf_of_estimator
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _from_uniform, _scaled_expm1, quantile
-from .mle import asymptotic_covariance, fit_batch
+from .mle import _row_slices, asymptotic_covariance, fit_batch
 
 MIN_REPLICATIONS = 100
 MAX_FAILED_FRACTION = 0.10
@@ -93,7 +93,9 @@ def _replicate(config: SimConfig):
             state["state"]["key"][1] = r
             bits.state = state
             gen.random(out=x[r - start])
-        x = _from_uniform(config.params, x)
+        # in cache-sized slices of rows: no block-sized temporaries
+        for sl in _row_slices(stop - start, n):
+            x[sl] = _from_uniform(config.params, x[sl])
         t1 = time.perf_counter()
         est = fit_batch(x)
         stages["sample"] += t1 - t0
@@ -137,12 +139,19 @@ def ks_test(samples, theoretical_cdf) -> tuple[float, float]:
     """One-sample two-sided Kolmogorov-Smirnov test against a pointwise CDF.
 
     Returns (D, p) with the asymptotic Kolmogorov p-value; the goodness-of-fit
-    family is this harness's choice, reported as such downstream.
+    family is this harness's choice, reported as such downstream.  Raises
+    ValidationError for a sample that is not finite, and for CDF values that
+    are not finite or fall outside [0, 1].
     """
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValidationError("samples must be nonempty")
+    if not np.isfinite(x).all():
+        raise ValidationError("samples must be finite")
     f = np.asarray(theoretical_cdf(x), dtype=float)
+    # NaN fails both comparisons, and an infinity the range
+    if not ((f >= 0.0) & (f <= 1.0)).all():
+        raise ValidationError("the CDF must return values in [0, 1] at every sample")
     i = np.arange(1, x.size + 1)
     d_plus = float(np.max(i / x.size - f))
     d_minus = float(np.max(f - (i - 1) / x.size))
@@ -154,8 +163,10 @@ def _kolmogorov_sf(y: float) -> float:
     """Survival function of the Kolmogorov distribution.
 
     Alternating series 2 * sum_k (-1)^(k-1) exp(-2 k^2 y^2), truncated once
-    terms drop below ``_KS_TERM_TOL``.
+    terms drop below ``_KS_TERM_TOL``; NaN at NaN.
     """
+    if math.isnan(y):
+        return math.nan
     if y <= 0.0:
         return 1.0
     total = 0.0

@@ -247,7 +247,7 @@ class TestDensity:
 class TestCdf:
     def test_limits(self, fig1_spec):
         # a CDF on the whole line: the mass below the window is kept, and
-        # G(+inf) is the u-rule's mass
+        # G(+inf) is the u-rule's mass, capped at 1
         lo, hi = evaluation_window(fig1_spec)
         assert tg.cdf_of_estimator(fig1_spec, -math.inf) == 0.0
         assert 0.0 < tg.cdf_of_estimator(fig1_spec, lo - 50.0) \
@@ -255,6 +255,14 @@ class TestCdf:
         assert abs(tg.cdf_of_estimator(fig1_spec, math.inf) - 1.0) <= 1e-14
         assert math.isnan(tg.cdf_of_estimator(fig1_spec, math.nan))
         assert tg.cdf_of_estimator(fig1_spec, hi + 50.0) == pytest.approx(1.0, abs=1e-6)
+
+    def test_at_most_one_where_the_rule_mass_rounds_past_it(self):
+        # at n = 1e7, xi = -0.45 the u-rule's mass is 1 + 1.1e-13; a KS test
+        # rejects CDF values above 1
+        law = tg.EstimatorLaw(_spec(10**7, -0.45, allow_unvalidated=True))
+        with pytest.warns(tg.OutsideValidatedRegionWarning):
+            assert law.cdf(math.inf) == 1.0
+        assert law.sf(-math.inf) == 1.0
 
     def test_mean_lies_right_of_median(self, fig1_spec, fig1_stats):
         v = tg.cdf_of_estimator(fig1_spec, fig1_stats.mean)

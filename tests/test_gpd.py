@@ -205,3 +205,16 @@ def test_limit_helpers_keep_a_nan_shape():
     assert out[1:].tolist() == [t, math.expm1(0.25 * t) / 0.25]
     assert _scaled_expm1(0.0, np.inf) == np.inf
     assert _log1p_over_xi(0.0, np.inf) == np.inf
+
+
+@pytest.mark.parametrize("xi", [0.25, 0.0, -0.5])
+def test_cdf_and_pdf_propagate_nan(xi):
+    # a NaN point is no point of the support, nor one outside it
+    p = tg.GpdParams(1.0, xi)
+    assert math.isnan(tg.cdf(p, math.nan)) and math.isnan(tg.pdf(p, math.nan))
+    x = np.array([-1.0, np.nan, 1.0, np.inf, -np.inf])
+    for f, ends in ((tg.cdf, [0.0, 1.0, 0.0]), (tg.pdf, [0.0, 0.0, 0.0])):
+        out = f(p, x)
+        assert math.isnan(out[1])
+        assert out[[0, 3, 4]].tolist() == ends
+        assert out[2] == f(p, 1.0)

@@ -163,6 +163,20 @@ class TestFitBatch:
                 batch.converged[r])
         assert np.isin(batch.xi_hat, XI_BOX).any()
 
+    @pytest.mark.parametrize("n", [3, 100])
+    @pytest.mark.parametrize("workspace", [1, 10**9])
+    def test_slice_size_does_not_change_results(self, monkeypatch, n, workspace):
+        # one row per slice, or the whole block in one; at n = 3 the last row
+        # has two grid peaks, so one row is searched twice
+        x = _gpd_rows(40, n, seed=n + 1)
+        if n == 3:
+            x = np.vstack([x, _TWO_PEAKS])
+        want = fit_batch(x)
+        monkeypatch.setattr(mle, "_WORKSPACE", workspace)
+        got = fit_batch(x)
+        for field in ("xi_hat", "sigma_hat", "log_likelihood", "converged"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
     @pytest.mark.parametrize("bad, what", [
         (lambda r: np.full_like(r, 2.0), "constant"),
         (lambda r: np.where(np.arange(r.size) == 4, -1.0, r), "nonnegative"),

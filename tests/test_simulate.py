@@ -1,11 +1,12 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tailgauge as tg
-from tailgauge import simulate
+from tailgauge import mle, simulate
 from tailgauge.mle import MleBatch
 from tailgauge.simulate import _kolmogorov_sf
 
@@ -82,8 +83,10 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("xi", [0.25, 0.0])
     def test_block_rows_equal_per_row_samples(self, monkeypatch, xi):
-        # 64 rows per block: the blocks are 64, 64 and 22 rows of R = 150
+        # 64 rows per block: the blocks are 64, 64 and 22 rows of R = 150,
+        # transformed three rows at a time (the last slice of a block is shorter)
         cfg = _config(params=tg.GpdParams(1.0, xi))
+        monkeypatch.setattr(mle, "_WORKSPACE", 3 * cfg.n)
         real, blocks = simulate.fit_batch, []
 
         def recording(x):
@@ -128,6 +131,22 @@ def _drawn_uniforms(monkeypatch, cfg, block_rows=None):
     return np.concatenate(uniforms)
 
 
+@pytest.mark.parametrize("n, bound", [(100, 6e6), (1000, 20e6)])
+def test_replicate_working_set(n, bound):
+    # only the sample block and its scaled copy scale with the block: 2 x 1.6 MB
+    # at n = 100 (2000 rows) and 2 x 8 MB at n = 1000 (1000 rows a block);
+    # every other pass runs on cache-sized slices of rows
+    cfg = _config(n=n, replications=2000, seed=3)
+    simulate._replicate(cfg)   # first-call overhead off the trace
+    tracemalloc.start()
+    try:
+        simulate._replicate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+
+
 class TestKsTest:
     def test_point_mass_at_median(self):
         p = tg.GpdParams(1.0, 0.25)
@@ -144,6 +163,28 @@ class TestKsTest:
     def test_empty_rejected(self):
         with pytest.raises(tg.ValidationError):
             tg.ks_test([], lambda v: v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # a NaN used to count as a sample: (0.5904, 0.2466)
+        p = tg.GpdParams(1.0, 0.25)
+        with pytest.raises(tg.ValidationError, match="finite"):
+            tg.ks_test([1.0, bad, 2.0], lambda v: tg.cdf(p, v))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.25, 1.25])
+    def test_cdf_values_outside_unit_interval_rejected(self, bad):
+        # a NaN CDF used to give (nan, 0.0)
+        def cdf(v):
+            f = np.linspace(0.1, 0.9, v.size)
+            f[1] = bad
+            return f
+
+        with pytest.raises(tg.ValidationError, match=r"\[0, 1\]"):
+            tg.ks_test([1.0, 2.0, 3.0], cdf)
+
+    def test_cdf_values_at_the_ends_accepted(self):
+        d, p = tg.ks_test([1.0, 2.0], lambda v: np.array([0.0, 1.0]))
+        assert (d, p) == (0.5, _kolmogorov_sf(math.sqrt(2.0) * 0.5))
 
     def test_self_consistency_p_values(self):
         # samples drawn from the hypothesized law: p > 0.01 in >= 98/100 runs
@@ -164,6 +205,10 @@ class TestKsTest:
         assert _kolmogorov_sf(2.0) == pytest.approx(0.0006709253, abs=1e-9)
         assert _kolmogorov_sf(0.0) == 1.0
         assert _kolmogorov_sf(50.0) == 0.0
+
+    def test_kolmogorov_sf_of_nan_is_nan(self):
+        # it used to run all 100,000 terms and return 0.0
+        assert math.isnan(_kolmogorov_sf(math.nan))
 
 
 class TestRun:
