@@ -20,9 +20,11 @@ once per law object on first use and refined until its mass and its density
 at a few probe points are resolved; ``stats`` reads its normalization
 defect off that mass.  The moments need no u-rule: with
 ``1/psi(u) = int_0^t e^{ru} dr`` they are exact 1-D integrals over ``r`` of
-the normal's moment generating function (``EstimatorLaw.moments``), about
-the true quantile ``q``, so nothing cancels at any ``n``; the bias/variance
-surface and ``fit``'s bias read them alone.
+the same normal's moment generating function, whatever its mean
+``(mu_u, mu_v)``: with slope ``c``, ``v = sd_u^2`` and ``h = r (mu_u - xi) +
+r^2 v/2``, ``bias = int_0^t e^{r xi} [sigma expm1(h) + (mu_v - sigma + c r v)
+e^h] dr`` about the true quantile ``q`` (``EstimatorLaw.moments``), so nothing
+cancels at any ``n``; the bias/variance surface and ``fit``'s bias read them.
 ``G`` is the CDF on the whole line, with no window behind it; quantiles
 bisect ``G`` up to the median and ``S`` above, from a bracket beyond which
 every node's normal is exactly 0.  Only ``stats(method="quadrature")``, the
@@ -68,8 +70,6 @@ _U_HALFWIDTH_SDS = 10.0
 # both tails; probes spaced by the estimator's sd around q_true leave the
 # rule unrefined below the mode at (n, xi) = (50, 0.5)
 _PROBE_SDS = np.array([-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0])
-# the estimator's mass that evaluation_window leaves below and above it
-_WINDOW_TAIL = 1e-12
 # the frames a region warning skips to reach the user's call
 _PACKAGE_DIR = os.path.dirname(__file__)
 _CACHED_PROPERTY_GET = functools.cached_property.__get__.__code__
@@ -355,38 +355,43 @@ class EstimatorLaw:
         """The survival ``S(q) = 1 - G(q)``, to full relative precision in its tail."""
         return self._shaped(q, lambda x: self._tail(x, True))
 
-    def quantile(self, probs) -> np.ndarray:
-        """The quantiles at the sequence ``probs`` in (0, 1): ``G(q) = p`` for
-        ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an
+    def quantile(self, probs):
+        """The quantiles at ``probs`` in (0, 1), a scalar or any shape: ``G(q) = p``
+        for ``p <= 0.5`` and ``S(q) = 1 - p`` above, where G resolves only to an
         ulp of 1, bisected to adjacent doubles from the u-rule's bracket, below
         which G is exactly 0 and above which S is; one u-sum a step."""
         p = np.asarray(probs, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ValidationError(f"probabilities must lie in (0, 1), got {probs}")
-        a, b = (np.full(p.shape, end) for end in self.u_rule.bracket)
-        upper = p > 0.5
-        target = np.where(upper, 1.0 - p, p)
-        mid = 0.5 * (a + b)
-        while np.any((a < mid) & (mid < b)):
-            tail = self._tail(mid, upper)
-            below = np.where(upper, tail > target, tail < target)   # mid short of q
-            a, b = np.where(below, mid, a), np.where(below, b, mid)
+
+        def bisect(p):
+            a, b = (np.full(p.shape, end) for end in self.u_rule.bracket)
+            upper = p > 0.5
+            target = np.where(upper, 1.0 - p, p)
             mid = 0.5 * (a + b)
-        return mid
+            while np.any((a < mid) & (mid < b)):
+                tail = self._tail(mid, upper)
+                below = np.where(upper, tail > target, tail < target)   # mid short of q
+                a, b = np.where(below, mid, a), np.where(below, b, mid)
+                mid = 0.5 * (a + b)
+            return mid
+
+        return self._shaped(p, bisect)
 
     def moments(self) -> tuple[float, float]:
         """The exact bias and variance of the estimator about ``q_true``,
         from one adaptive Kronrod rule in r, with no u-rule.
 
-        With ``1/psi(u) = int_0^t e^{ru} dr``, the normal's moment generating
-        function ``E e^{ru} = e^{r mu_u + h}`` (``h = r^2 v/2``, ``v = sd_u^2``)
-        and Stein's lemma ``E (u - mu_u) e^{ru} = r v E e^{ru}``, the law
-        centred at ``(mu_u, S) = (xi, sigma)`` with slope ``c`` and
-        conditional sd ``s`` gives, with nothing that cancels,
+        With ``1/psi(u) = int_0^t e^{ru} dr``, the moment generating function
+        ``E e^{ru} = e^{r xi + h}`` (``h = r d + r^2 v/2``, ``d = mu_u - xi``,
+        ``v = sd_u^2``) and Stein's lemma ``E (u - mu_u) e^{ru} = r v E e^{ru}``,
+        the law's ``normal``, of mean ``(mu_u, mu_v)``, slope ``c`` and
+        conditional sd ``s``, gives about ``q = S int_0^t e^{r xi} dr``
+        (``S = sigma``), with nothing that cancels,
 
-            bias        = int_0^t e^{r xi} [S expm1(h) + c r v e^h] dr
+            bias        = int_0^t e^{r xi} [S expm1(h) + (mu_v - S + c r v) e^h] dr
             E z^2 - q^2 = int_0^2t min(r, 2t - r) e^{r xi}
-                          [S^2 expm1(h) + e^h (2 S c r v + c^2 r^2 v^2 + c^2 v + s^2)] dr
+                          [S^2 expm1(h) + e^h ((mu_v + c r v)^2 - S^2 + c^2 v + s^2)] dr
 
         (the triangle weight is ``1/psi^2 = int int e^{(a+b)u} da db``), and
         the variance ``(E z^2 - q^2) - 2 q bias - bias^2``.  Both integrals
@@ -395,18 +400,18 @@ class EstimatorLaw:
         they do not resolve (they overflow a double at tiny n and large xi)
         or where the variance overflows.
         """
-        law, t, sigma = self.normal, self.t, self.spec.sigma
-        v = law.sd_u ** 2
+        law, t, sigma, xi = self.normal, self.t, self.spec.sigma, self.spec.xi
+        v, d = law.sd_u ** 2, law.mu_u - xi
         # the law over sigma: the bias scales as sigma, the variance as sigma^2
-        c, sv, s = law.slope / sigma, law.mu_v / sigma, law.s / sigma
-        failed = f"moments failed at (n={self.spec.n}, xi={self.spec.xi})"
+        c, dv, s = law.slope / sigma, (law.mu_v - sigma) / sigma, law.s / sigma
+        failed = f"moments failed at (n={self.spec.n}, xi={xi})"
 
         def parts(r):   # the integrands of the bias and of E z^2 - q^2 at r
-            h = 0.5 * v * r * r
-            tilt, grow, rise, crv = np.exp(law.mu_u * r), np.exp(h), np.expm1(h), c * r * v
-            return (tilt * (sv * rise + crv * grow),
-                    tilt * (sv * sv * rise
-                            + grow * (crv * (2.0 * sv + crv) + c * c * v + s * s)))
+            h = r * d + 0.5 * v * r * r
+            lift = dv + c * r * v   # (mu_v + c r v)/S - 1
+            tilt, grow, rise = np.exp(xi * r), np.exp(h), np.expm1(h)
+            return (tilt * (rise + lift * grow),
+                    tilt * (rise + grow * (lift * (lift + 2.0) + c * c * v + s * s)))
 
         def integrands(x):
             bias, low = parts(t * x)
@@ -435,13 +440,6 @@ class EstimatorLaw:
         return QuantileStats(mean=mean, variance=var, bias=mean - self.q_true,
                              true_quantile=self.q_true,
                              normalization_defect=abs(mass - 1.0))
-
-
-def evaluation_window(spec: DensitySpec) -> tuple[float, float]:
-    """The z-range that carries the density's mass: the estimator quantiles
-    that leave ``_WINDOW_TAIL`` below and above."""
-    lo, hi = EstimatorLaw(spec).quantile((_WINDOW_TAIL, 1.0 - _WINDOW_TAIL))
-    return float(lo), float(hi)
 
 
 def density(spec: DensitySpec, z):

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -13,6 +15,28 @@ def test_public_names_resolve_once():
     names = tailgauge.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(tailgauge, n)] == []
+
+
+def test_runtime_imports_are_stdlib_and_numpy_only():
+    # the one runtime dependency is numpy: every import in the package names
+    # the standard library, numpy or the package itself (relative imports)
+    allowed = sys.stdlib_module_names | {"numpy", "tailgauge"}
+    seen, foreign = set(), []
+    for path in sorted(pathlib.Path(tailgauge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                seen.add(top)
+                if top not in allowed:
+                    foreign.append(f"{path.name}:{node.lineno}: {name}")
+    assert foreign == []
+    assert "numpy" in seen
 
 
 def test_estimator_law_is_exported():

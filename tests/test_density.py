@@ -12,8 +12,7 @@ from scipy import integrate, special
 
 import tailgauge as tg
 from tailgauge.quadrature import adaptive_rule
-from tailgauge.density import (_ERFC_ZERO, _REL_TOL, _conditional_law, _erfc,
-                               evaluation_window)
+from tailgauge.density import _ERFC_ZERO, _REL_TOL, _conditional_law, _erfc
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -21,6 +20,12 @@ A999 = tg.ConfidenceLevel(0.999)
 def _spec(n, xi, alpha=0.999, sigma=1.0, **kw):
     return tg.DensitySpec(n=n, alpha=tg.ConfidenceLevel(alpha), sigma=sigma,
                           xi=xi, **kw)
+
+
+def _window(spec):
+    """The z-range that carries the mass: the estimator quantiles that leave
+    1e-12 below and above."""
+    return tg.EstimatorLaw(spec).quantile((1e-12, 1 - 1e-12))
 
 
 def _oracle_density(spec, z):
@@ -59,27 +64,26 @@ def _oracle_tail_mass(spec, q):
     raise AssertionError(f"oracle tail mass did not settle beyond q={q}")
 
 
-def _gauss_hermite_moments(spec):
+def _gauss_hermite_moments(law):
     """Independent route: mean and variance of v/psi(u) from a 2-D
-    Gauss-Hermite tensor rule under the limiting normal law of (u, v)."""
+    Gauss-Hermite tensor rule under the law's normal of (u, v), with u
+    normal and v = mu_v + slope (u - mu_u) + s y, y standard normal."""
+    spec, nrm = law.spec, law.normal
     t = -math.log1p(-spec.alpha.alpha)
-    cov = tg.asymptotic_covariance(tg.GpdParams(spec.sigma, spec.xi),
-                                   spec.n).cov_matrix
-    L = np.linalg.cholesky(cov)
     x, w = np.polynomial.hermite.hermgauss(96)
     W = np.outer(w, w) / math.pi
-    u = spec.xi + math.sqrt(2.0) * L[0, 0] * x
-    v = spec.sigma + math.sqrt(2.0) * (L[1, 0] * x[:, None] + L[1, 1] * x[None, :])
+    du = math.sqrt(2.0) * nrm.sd_u * x
+    u = nrm.mu_u + du
+    v = nrm.mu_v + nrm.slope * du[:, None] + math.sqrt(2.0) * nrm.s * x[None, :]
     g = v / (u / np.expm1(t * u))[:, None]
     mean = float((W * g).sum())
     return mean, float((W * (g - mean) ** 2).sum())
 
 
-def _u_rule_moments(spec):
+def _u_rule_moments(law):
     """The oracle the r-integrals replace: the bias ``E_u (m/psi - q)`` and
     the variance from ``E_u ((m/psi - q)^2 + (s/psi)^2)``, as u-sums on
     the law's u-rule."""
-    law = tg.EstimatorLaw(spec)
     g, pu, m, s = _conditional_law(law.normal, law.t, law.u_rule.nodes)
     w, d = law.u_rule.weights * g, m / pu - law.q_true
     bias = w @ d
@@ -219,12 +223,12 @@ class TestDensity:
         assert fig1_stats.normalization_defect < 1e-6
 
     def test_positivity_on_wide_grid(self, fig1_spec):
-        lo, hi = evaluation_window(fig1_spec)
+        lo, hi = _window(fig1_spec)
         z = np.linspace(lo - 10.0, hi + 10.0, 2001)
         assert np.all(tg.density(fig1_spec, z) >= 0.0)
 
     def test_unimodal_on_window(self, fig1_spec):
-        lo, hi = evaluation_window(fig1_spec)
+        lo, hi = _window(fig1_spec)
         f = tg.density(fig1_spec, np.linspace(lo, hi, 2001))
         d = np.diff(f)
         changes = np.sum(np.sign(d[np.abs(d) > 1e-14][:-1])
@@ -233,7 +237,7 @@ class TestDensity:
 
     def test_peak_location_in_published_window(self, fig1_spec):
         # stated reproduction range [15, 21]; exact mode computes to ~14.29
-        lo, hi = evaluation_window(fig1_spec)
+        lo, hi = _window(fig1_spec)
         z = np.linspace(lo, hi, 4001)
         f = tg.density(fig1_spec, z)
         mode = float(z[np.argmax(f)])
@@ -248,7 +252,7 @@ class TestCdf:
     def test_limits(self, fig1_spec):
         # a CDF on the whole line: the mass below the window is kept, and
         # G(+inf) is the u-rule's mass, capped at 1
-        lo, hi = evaluation_window(fig1_spec)
+        lo, hi = _window(fig1_spec)
         assert tg.cdf_of_estimator(fig1_spec, -math.inf) == 0.0
         assert 0.0 < tg.cdf_of_estimator(fig1_spec, lo - 50.0) \
             <= tg.cdf_of_estimator(fig1_spec, lo) <= 1e-12
@@ -306,7 +310,7 @@ class TestCdf:
     ])
     def test_cdf_and_survival_match_oracle_from_infinity(self, n, xi, alpha, sigma, qs):
         spec = _spec(n, xi, alpha=alpha, sigma=sigma)
-        lo, _hi = evaluation_window(spec)
+        lo, _hi = _window(spec)
 
         def mass(a, b):
             return integrate.quad(lambda z: _oracle_density(spec, z), a, b,
@@ -338,8 +342,11 @@ class TestCdf:
         # worst |F(F^-1(p)) - p| over 23,000 random (spec, p) draws from
         # these ranges: 2.4e-15 (median 7.8e-16), about 11 ulp of p = 0.5
         spec = _spec(n, xi, alpha=alpha, sigma=sigma)
-        q = tg.EstimatorLaw(spec).quantile(np.array([p]))
-        assert abs(tg.cdf_of_estimator(spec, q)[0] - p) <= 5e-15
+        law = tg.EstimatorLaw(spec)
+        for probs in (np.array([p]), p):   # an array, and a scalar
+            q = law.quantile(probs)
+            assert np.shape(q) == np.shape(probs)
+            assert abs(tg.cdf_of_estimator(spec, q) - p) <= 5e-15
 
     def test_erfc_against_scipy(self):
         # on the dyadic grid k/1024, x*x is exact, so the oracle's own
@@ -402,7 +409,7 @@ class TestStats:
                         sigma=float(rng.uniform(0.5, 2.0))) for _ in range(12)]
         for spec in specs:
             st = tg.stats(spec)
-            mean, var = _gauss_hermite_moments(spec)
+            mean, var = _gauss_hermite_moments(tg.EstimatorLaw(spec))
             assert st.mean == pytest.approx(mean, rel=1e-9)
             assert st.variance == pytest.approx(var, rel=1e-9)
 
@@ -413,7 +420,7 @@ class TestStats:
         spec = _spec(n, xi, allow_unvalidated=True)
         law = tg.EstimatorLaw(spec)
         bias, var = law.moments()
-        mean, ref_var = _gauss_hermite_moments(spec)
+        mean, ref_var = _gauss_hermite_moments(law)
         assert law.q_true + bias == pytest.approx(mean, rel=1e-8)
         assert var == pytest.approx(ref_var, rel=1e-8)
 
@@ -527,9 +534,9 @@ class TestSurface:
 
 def test_accuracy_change_reaches_every_entry_point(monkeypatch, fig1_spec):
     # nothing is memoised: after a warm call, a tighter accuracy must reach
-    # the u-rule, stats, the CDF and the window, which a cache would hide
+    # the u-rule, stats, the CDF and the quantiles, which a cache would hide
     tg.stats(fig1_spec)
-    evaluation_window(fig1_spec)
+    _window(fig1_spec)
     tg.EstimatorLaw(fig1_spec).u_rule
     module = importlib.import_module("tailgauge.density")
     monkeypatch.setattr(module, "_REL_TOL", 1e-15)
@@ -539,7 +546,7 @@ def test_accuracy_change_reaches_every_entry_point(monkeypatch, fig1_spec):
     with pytest.raises(tg.QuadratureError):
         tg.cdf_of_estimator(fig1_spec, 20.0)
     with pytest.raises(tg.QuadratureError):
-        evaluation_window(fig1_spec)
+        _window(fig1_spec)
     with pytest.raises(tg.QuadratureError):
         tg.EstimatorLaw(fig1_spec).u_rule
 
@@ -570,7 +577,7 @@ def test_one_law_builds_one_u_rule(monkeypatch):
 
 def test_moments_against_scipy_z_integration(fig1_spec):
     # independent z-side integration of the oracle density
-    lo, hi = evaluation_window(fig1_spec)
+    lo, hi = _window(fig1_spec)
     m, _ = integrate.quad(lambda z: z * _oracle_density(fig1_spec, z), lo, hi,
                           limit=400)
     st = tg.stats(fig1_spec)
@@ -592,7 +599,7 @@ def test_window_and_cdf_run_no_z_quadrature(monkeypatch, n, xi):
     monkeypatch.setattr(module, "adaptive_rule", spy)
     spec = _spec(n, xi)
     law = tg.EstimatorLaw(spec)
-    lo, hi = evaluation_window(spec)
+    lo, hi = _window(spec)
     assert lo < law.q_true < hi
     assert tg.cdf_of_estimator(spec, hi) == pytest.approx(1.0, abs=1e-6)
     assert tg.stats(spec).normalization_defect <= 1e-6
@@ -637,7 +644,7 @@ def test_estimator_law_reads_asymptotic_covariance_alone(monkeypatch):
     # law and every output is the (100, 0.25) one, bit for bit
     module = importlib.import_module("tailgauge.density")
     small, large = _spec(100, 0.25), _spec(400, 0.25)
-    z = np.linspace(*evaluation_window(small), 257)
+    z = np.linspace(*_window(small), 257)
     ref = (tg.stats(small), tg.cdf_of_estimator(small, z), tg.density(small, z))
     law = tg.asymptotic_covariance(tg.GpdParams(1.0, 0.25), 100)
     monkeypatch.setattr(module, "asymptotic_covariance", lambda _p, _n: law)
@@ -672,7 +679,7 @@ def test_quantile_probability_outside_the_unit_interval_raises(fig1_spec, p):
 
 
 def test_window_covers_mass(fig1_spec, fig1_stats):
-    lo, hi = evaluation_window(fig1_spec)
+    lo, hi = _window(fig1_spec)
     assert lo < fig1_stats.true_quantile < fig1_stats.mean < hi
 
 
@@ -684,7 +691,7 @@ def test_conditional_normal_density_matches_bracket_form(n, xi, alpha, sigma):
     spec = _spec(n, xi, alpha=alpha, sigma=sigma, allow_unvalidated=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", tg.OutsideValidatedRegionWarning)
-        lo, hi = evaluation_window(spec)
+        lo, hi = _window(spec)
         core = tg.EstimatorLaw(spec).quantile((1e-4, 1 - 1e-4))
         z = np.concatenate([np.linspace(lo, hi, 2001), np.linspace(*core, 2001)])
         mine = tg.density(spec, z)
@@ -758,7 +765,7 @@ def test_unresolvable_u_rule_raises_quadrature_error(n, xi, alpha):
 def test_chunk_size_does_not_change_results(monkeypatch, n, xi, workspace):
     # one column of the (u, z) block per chunk, or all of it in one chunk
     spec = _spec(n, xi)
-    lo, hi = evaluation_window(spec)
+    lo, hi = _window(spec)
     q, z = np.linspace(lo, hi, 2000), np.linspace(lo, hi, 512)
     cdf, dens = tg.cdf_of_estimator(spec, q), tg.density(spec, z)
     monkeypatch.setattr(importlib.import_module("tailgauge.density"),
@@ -768,7 +775,7 @@ def test_chunk_size_does_not_change_results(monkeypatch, n, xi, workspace):
 
 
 def test_cdf_workspace_stays_in_cache(fig1_spec):
-    q = np.linspace(*evaluation_window(fig1_spec), 2000)
+    q = np.linspace(*_window(fig1_spec), 2000)
     tg.cdf_of_estimator(fig1_spec, q)   # first-call overhead off the trace
     tracemalloc.start()
     try:
@@ -786,7 +793,7 @@ def test_moments_match_the_u_rule_moment_sums(xis):
         for xi in xis:
             spec = _spec(n, xi)
             bias, var = tg.EstimatorLaw(spec).moments()
-            ref_bias, ref_var = _u_rule_moments(spec)
+            ref_bias, ref_var = _u_rule_moments(tg.EstimatorLaw(spec))
             assert bias == pytest.approx(ref_bias, rel=1e-12, abs=0.0), (n, xi)
             assert var == pytest.approx(ref_var, rel=1e-12, abs=0.0), (n, xi)
 
@@ -800,9 +807,27 @@ def test_moments_match_gauss_hermite_in_and_out_of_region(n, xi, alpha, sigma):
     spec = _spec(n, xi, alpha=alpha, sigma=sigma, allow_unvalidated=True)
     law = tg.EstimatorLaw(spec)
     bias, var = law.moments()
-    mean, ref_var = _gauss_hermite_moments(spec)
+    mean, ref_var = _gauss_hermite_moments(law)
     assert law.q_true + bias == pytest.approx(mean, rel=1e-8)
     assert var == pytest.approx(ref_var, rel=1e-8)
+
+
+@pytest.mark.parametrize("n, xi", [(100, 0.25), (100, 0.0), (100, 0.5), (50, 0.25)])
+def test_moments_follow_a_shifted_normal(n, xi):
+    # moments() integrates the law's own normal: centred at the Cox-Snell
+    # corrected (xi + b_xi, sigma + b_sigma), not at (xi, sigma), fig-1's
+    # bias is 0.8986 (2.2496 from the centre (xi, sigma) with the shifted sds)
+    law = tg.EstimatorLaw(_spec(n, xi))
+    b_xi = -(1 + xi) * (3 + xi) / (n * (1 + 3 * xi))
+    b_sigma = law.spec.sigma * (3 + 5 * xi + 4 * xi * xi) / (n * (1 + 3 * xi))
+    law.normal = law.normal._replace(mu_u=xi + b_xi, mu_v=law.spec.sigma + b_sigma)
+    bias, var = law.moments()
+    mean, ref_var = _gauss_hermite_moments(law)
+    assert bias == pytest.approx(mean - law.q_true, rel=1e-10, abs=0.0)
+    assert var == pytest.approx(ref_var, rel=1e-10, abs=0.0)
+    ref_bias, ref_var = _u_rule_moments(law)
+    assert bias == pytest.approx(ref_bias, rel=1e-10, abs=0.0)
+    assert var == pytest.approx(ref_var, rel=1e-10, abs=0.0)
 
 
 def test_series_leading_coefficients():
@@ -846,7 +871,7 @@ def test_no_entry_point_returns_nan(alpha):
             z = np.array([-1.0, 0.0, q, 10.0 * q])
             for call in (lambda: tuple(vars(tg.stats(spec)).values()),
                          lambda: tg.density(spec, z), lambda: tg.cdf_of_estimator(spec, z),
-                         lambda: evaluation_window(spec)):
+                         lambda: _window(spec)):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", tg.OutsideValidatedRegionWarning)
                     try:
