@@ -38,7 +38,6 @@ anything else must be requested explicitly and is flagged by a warning.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -72,7 +71,6 @@ _U_HALFWIDTH_SDS = 10.0
 _PROBE_SDS = np.array([-6.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 6.0])
 # the frames a region warning skips to reach the user's call
 _PACKAGE_DIR = os.path.dirname(__file__)
-_CACHED_PROPERTY_GET = functools.cached_property.__get__.__code__
 
 # rational approximations of erf/erfc (Cody 1969, Math. Comp. 23, as in his
 # CALERF): |x| <= 0.46875, 0.46875 < |x| <= 4, |x| > 4
@@ -250,13 +248,10 @@ def _u_sum(weights: np.ndarray, size: int, matrix) -> np.ndarray:
 def _user_stacklevel() -> int:
     """The ``stacklevel`` at which ``warnings.warn``, called by this helper's
     caller, names the first frame outside the package: the user's own line,
-    through any chain of package calls and the ``functools.cached_property``
-    that builds ``EstimatorLaw.u_rule``.  (``skip_file_prefixes`` does this
+    through any chain of package calls.  (``skip_file_prefixes`` does this
     from Python 3.12 on; the package supports 3.10.)"""
     frame, level = sys._getframe(1), 1
-    while frame is not None and (
-            os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR
-            or frame.f_code is _CACHED_PROPERTY_GET):
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
         frame, level = frame.f_back, level + 1
     return level
 
@@ -264,7 +259,8 @@ def _user_stacklevel() -> int:
 class EstimatorLaw:
     """The finite-sample law of the quantile estimator at one spec: the limiting
     normal law of (u, v) (``normal``), ``t = -log(1 - alpha)``, the true
-    quantile ``q_true``, and the u-rule, built on first use and then kept."""
+    quantile ``q_true``, and the u-rule, built on first use and kept for as
+    long as ``normal`` is the law it was built from."""
 
     def __init__(self, spec: DensitySpec):
         params = GpdParams(spec.sigma, spec.xi)
@@ -276,9 +272,23 @@ class EstimatorLaw:
                            math.sqrt(c11 - c01 * slope))
         self.t = -math.log1p(-spec.alpha.alpha)
         self.q_true = quantile(params, spec.alpha)
+        self._rule = (None, None)   # (the normal it was built from, the u-rule)
 
-    @functools.cached_property
+    @property
     def u_rule(self) -> _URule:
+        """The u-rule of ``normal``, rebuilt whenever ``normal`` is replaced;
+        a rule set here stands for the ``normal`` of that moment."""
+        normal, rule = self._rule
+        if normal is not self.normal:
+            rule = self._build_u_rule()
+            self._rule = (self.normal, rule)
+        return rule
+
+    @u_rule.setter
+    def u_rule(self, rule: _URule) -> None:
+        self._rule = (self.normal, rule)
+
+    def _build_u_rule(self) -> _URule:
         """The u-rule from one adaptive Kronrod call, after the region warning.
 
         Over the truncated u-range it resolves, to relative ``_REL_TOL``, the

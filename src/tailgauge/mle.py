@@ -15,7 +15,9 @@ Working in units of x/max(x) keeps the fit scale-equivariant.
 The search runs row-wise over an (R, n) block of samples (``fit_batch``):
 each row keeps its own grid, and each of its peaks its own bracket and
 stopping test; every step is one pass over the block, a cache-sized slice of
-rows at a time, and ``fit`` is the one-row case.
+rows at a time, and ``fit`` is the one-row case.  ``fit_batch`` searches a
+scaled copy of its input; the Monte Carlo loop scales its own block in place
+and calls the search (``_fit_scaled``) on it directly.
 """
 
 from __future__ import annotations
@@ -150,8 +152,9 @@ def _profile(w: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray
     return val, xi
 
 
-def _check_rows(x: np.ndarray) -> None:
-    """Raise ValidationError for the first row that cannot be fitted."""
+def _check_rows(x: np.ndarray) -> np.ndarray:
+    """Raise ValidationError for the first row that cannot be fitted; return
+    each row's maximum."""
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValidationError("data must be an (R, n) block with R >= 1 rows")
     if x.shape[1] < 2:
@@ -165,6 +168,7 @@ def _check_rows(x: np.ndarray) -> None:
         if bad.any():
             where = f" (row {int(np.argmax(bad))})" if x.shape[0] > 1 else ""
             raise ValidationError(what + where)
+    return hi
 
 
 def _polish(y: np.ndarray, rows: np.ndarray, a, b, fa, fb, x, fx):
@@ -233,22 +237,16 @@ def _polish(y: np.ndarray, rows: np.ndarray, a, b, fa, fb, x, fx):
         x, fx = np.where(up, u, x), np.where(up, fu, fx)
 
 
-def fit_batch(data) -> MleBatch:
-    """Maximize the GPD likelihood of each row of an (R, n) block on its own.
+def _fit_scaled(y: np.ndarray, scale: np.ndarray):
+    """The search of ``fit_batch`` on a block the caller owns: each row of
+    ``y`` is a checked sample already divided by its maximum, ``scale``.
 
-    Every row gets the search of ``fit``, so row r of the result equals
-    ``fit(data[r])`` bit for bit.  Raises ValidationError, naming the row,
-    for fewer than two points per row, and for a row that is not finite, has
-    negative values or is constant.
+    Reads ``y`` without changing it and allocates nothing of its size.
+    Returns the row-wise ``xi``, ``sigma`` and ``converged``; no
+    log-likelihood, which the Monte Carlo loop never reads.
     """
-    x = np.asarray(data, dtype=float)
-    _check_rows(x)
-    rows, n = x.shape
+    rows, n = y.shape
     every = np.arange(rows)
-    scale = x.max(axis=1)
-    # x and this scaled copy are the only (R, n) arrays: every other pass
-    # over the block runs a _row_slices slice at a time
-    y = x / scale[:, None]
     # The profile's slope brackets its maximizer.  Below -log1p(n) the point
     # at the support edge alone makes it increase.  Once theta*y >= 10 for
     # all but n/12 points it decreases, because 1 + 1/xi >= 1.2 in the box.
@@ -280,13 +278,13 @@ def fit_batch(data) -> MleBatch:
     pick = order[np.r_[True, cand_r[order[1:]] != cand_r[order[:-1]]]]
     w, a, b = w[pick], a[pick], b[pick]
     xi = _profile(w, y, every)[1]
-    del y
     theta = np.expm1(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sigma = np.where(theta != 0.0, scale * xi / theta, x.mean(axis=1))
-    ll = np.empty(rows)
-    for sl in _row_slices(rows, n):
-        ll[sl] = _loglik(xi[sl], sigma[sl], x[sl])
+        sigma = scale * xi / theta
+    # the exponential limit: sigma is the sample mean
+    at_zero = theta == 0.0
+    if at_zero.any():
+        sigma[at_zero] = scale[at_zero] * y[at_zero].mean(axis=1)
     # a maximizer whose final bracket still touches an end of the grid is
     # the bracket's edge, not a stationary point
     converged = (a > grid[:, 0]) & (b < grid[:, -1])
@@ -296,6 +294,26 @@ def fit_batch(data) -> MleBatch:
                    "%d not converged", rows, n, rounds,
                    int((np.bincount(cand_r, minlength=rows) > 1).sum()),
                    int(np.isin(xi, XI_BOX).sum()), int((~converged).sum()))
+    return xi, sigma, converged
+
+
+def fit_batch(data) -> MleBatch:
+    """Maximize the GPD likelihood of each row of an (R, n) block on its own.
+
+    Every row gets the search of ``fit``, so row r of the result equals
+    ``fit(data[r])`` bit for bit; ``data`` is left unchanged.  Raises
+    ValidationError, naming the row, for fewer than two points per row, and
+    for a row that is not finite, has negative values or is constant.
+    """
+    x = np.asarray(data, dtype=float)
+    scale = _check_rows(x)
+    # the search gets a scaled copy, freed when it returns: x and the copy
+    # are the only (R, n) arrays, and every other pass over the block runs a
+    # _row_slices slice at a time
+    xi, sigma, converged = _fit_scaled(x / scale[:, None], scale)
+    ll = np.empty(x.shape[0])
+    for sl in _row_slices(*x.shape):
+        ll[sl] = _loglik(xi[sl], sigma[sl], x[sl])
     return MleBatch(xi_hat=xi, sigma_hat=sigma, log_likelihood=ll, converged=converged)
 
 

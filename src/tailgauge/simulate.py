@@ -5,10 +5,12 @@ likelihood and records the plug-in quantile.  Replication r uses its own
 counter-based stream, Philox keyed by (seed, r), so results are bitwise
 reproducible and independent of any execution order.  One Philox generator
 serves the whole run: it is re-keyed to (seed, r) before row r is drawn.
-Samples are drawn and fitted a block of rows at a time: each row's uniforms
-come from its own stream, the inverse transform (``gpd.sample``'s) runs in
-place on cache-sized slices of the block's rows, and the row-wise MLE search
-fits each row on its own, so results do not depend on the block size either.
+Samples are drawn and fitted a block of rows at a time, in one buffer that
+every block reuses: each row's uniforms come from its own stream, the
+inverse transform (``gpd.sample``'s) runs in place on cache-sized slices of
+the block's rows, each row is divided in place by its maximum, and the
+row-wise MLE search fits each row on its own, so results do not depend on
+the block size either.  That buffer is the only array of the block's size.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .density import DensitySpec, cdf_of_estimator
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _from_uniform, _scaled_expm1, quantile
-from .mle import _row_slices, asymptotic_covariance, fit_batch
+from .mle import _check_rows, _fit_scaled, _row_slices, asymptotic_covariance
 
 MIN_REPLICATIONS = 100
 MAX_FAILED_FRACTION = 0.10
@@ -85,10 +87,12 @@ def _replicate(config: SimConfig):
     bits = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
     gen, state = np.random.Generator(bits), bits.state
     rows = max(1, _BLOCK_ELEMENTS // n)
+    # the one block-sized array: every block fills its leading rows
+    buf = np.empty((min(rows, reps), n))
     for start in range(0, reps, rows):
         stop = min(start + rows, reps)
         t0 = time.perf_counter()
-        x = np.empty((stop - start, n))
+        x = buf[:stop - start]
         for r in range(start, stop):
             state["state"]["key"][1] = r
             bits.state = state
@@ -97,11 +101,12 @@ def _replicate(config: SimConfig):
         for sl in _row_slices(stop - start, n):
             x[sl] = _from_uniform(config.params, x[sl])
         t1 = time.perf_counter()
-        est = fit_batch(x)
+        # the search reads each row in units of its maximum, scaled in place
+        scale = _check_rows(x)
+        x /= scale[:, None]
+        xi_hat[start:stop], sigma_hat[start:stop], ok[start:stop] = _fit_scaled(x, scale)
         stages["sample"] += t1 - t0
         stages["fit"] += time.perf_counter() - t1
-        xi_hat[start:stop], sigma_hat[start:stop] = est.xi_hat, est.sigma_hat
-        ok[start:stop] = est.converged
     failed = int((~ok).sum())
     if failed > MAX_FAILED_FRACTION * reps:
         raise NumericalError(f"{failed}/{reps} replications failed to converge")

@@ -830,6 +830,26 @@ def test_moments_follow_a_shifted_normal(n, xi):
     assert var == pytest.approx(ref_var, rel=1e-10, abs=0.0)
 
 
+def test_replaced_normal_gets_its_own_u_rule(fig1_spec):
+    # the u-rule belongs to the normal it was built from: a law used once and
+    # then given the Cox-Snell centre with a 3x sd_u answers as a fresh law
+    # with that normal, bit for bit (the stale rule read G(1e300) = 0.99943)
+    def shifted(law):
+        n, xi, sigma = law.spec.n, law.spec.xi, law.spec.sigma
+        b_xi = -(1 + xi) * (3 + xi) / (n * (1 + 3 * xi))
+        b_sigma = sigma * (3 + 5 * xi + 4 * xi * xi) / (n * (1 + 3 * xi))
+        return law.normal._replace(mu_u=xi + b_xi, mu_v=sigma + b_sigma,
+                                   sd_u=3.0 * law.normal.sd_u)
+
+    reused, fresh = tg.EstimatorLaw(fig1_spec), tg.EstimatorLaw(fig1_spec)
+    reused.cdf(20.0)
+    reused.normal, fresh.normal = shifted(reused), shifted(fresh)
+    q = np.array([5.0, 20.0, 60.0, 1e300])
+    np.testing.assert_array_equal(reused.cdf(q), fresh.cdf(q))
+    np.testing.assert_array_equal(reused.sf(q), fresh.sf(q))
+    assert reused.stats().normalization_defect == fresh.stats().normalization_defect
+
+
 def test_series_leading_coefficients():
     b1 = [_series_coefficient(1, xi) for xi in tg.DEFAULT_XI_GRID]
     np.testing.assert_allclose(b1, [31.08, 70.43, 154.9, 334.4, 713.2, 1508.77], rtol=2e-4)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tailgauge as tg
 from tailgauge import mle
-from tailgauge.mle import XI_BOX, _loglik, fit_batch
+from tailgauge.mle import XI_BOX, _fit_scaled, _loglik, fit_batch
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -162,6 +162,22 @@ class TestFitBatch:
                 batch.xi_hat[r], batch.sigma_hat[r], batch.log_likelihood[r],
                 batch.converged[r])
         assert np.isin(batch.xi_hat, XI_BOX).any()
+
+    def test_input_is_left_unchanged(self):
+        # the search runs on a scaled copy: the caller's block and row keep
+        # every byte, and the search on an owned scaled block gives the batch
+        x = _gpd_rows(40, 100, seed=9)
+        before = x.tobytes()
+        batch = fit_batch(x)
+        assert x.tobytes() == before
+        row = x[7].copy()
+        tg.fit(row)
+        assert row.tobytes() == x[7].tobytes()
+        scale = x.max(axis=1)
+        xi, sigma, converged = _fit_scaled(x / scale[:, None], scale)
+        np.testing.assert_array_equal(xi, batch.xi_hat)
+        np.testing.assert_array_equal(sigma, batch.sigma_hat)
+        np.testing.assert_array_equal(converged, batch.converged)
 
     @pytest.mark.parametrize("n", [3, 100])
     @pytest.mark.parametrize("workspace", [1, 10**9])

@@ -7,7 +7,6 @@ import pytest
 
 import tailgauge as tg
 from tailgauge import mle, simulate
-from tailgauge.mle import MleBatch
 from tailgauge.simulate import _kolmogorov_sf
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -84,23 +83,26 @@ class TestReproducibility:
     @pytest.mark.parametrize("xi", [0.25, 0.0])
     def test_block_rows_equal_per_row_samples(self, monkeypatch, xi):
         # 64 rows per block: the blocks are 64, 64 and 22 rows of R = 150,
-        # transformed three rows at a time (the last slice of a block is shorter)
+        # transformed three rows at a time (the last slice of a block is
+        # shorter).  The search gets each row in units of its maximum, in
+        # the one buffer every block reuses, so the recorder copies it
         cfg = _config(params=tg.GpdParams(1.0, xi))
         monkeypatch.setattr(mle, "_WORKSPACE", 3 * cfg.n)
-        real, blocks = simulate.fit_batch, []
+        real, blocks = simulate._fit_scaled, []
 
-        def recording(x):
-            blocks.append(x.copy())
-            return real(x)
+        def recording(y, scale):
+            blocks.append((y.copy(), scale.copy()))
+            return real(y, scale)
 
         monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 64 * cfg.n)
-        monkeypatch.setattr(simulate, "fit_batch", recording)
+        monkeypatch.setattr(simulate, "_fit_scaled", recording)
         simulate._replicate(cfg)
-        assert [b.shape[0] for b in blocks] == [64, 64, 22]
-        x = np.concatenate(blocks)
+        assert [y.shape[0] for y, _ in blocks] == [64, 64, 22]
+        y, scale = (np.concatenate(part) for part in zip(*blocks))
         for r in range(cfg.replications):
-            np.testing.assert_array_equal(
-                x[r], tg.sample(cfg.params, _philox(cfg.seed, r), cfg.n))
+            x = tg.sample(cfg.params, _philox(cfg.seed, r), cfg.n)
+            assert scale[r] == x.max()
+            np.testing.assert_array_equal(y[r], x / x.max())
 
     @pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
     def test_block_rows_are_fresh_philox_streams(self, monkeypatch, seed):
@@ -131,12 +133,14 @@ def _drawn_uniforms(monkeypatch, cfg, block_rows=None):
     return np.concatenate(uniforms)
 
 
-@pytest.mark.parametrize("n, bound", [(100, 6e6), (1000, 20e6)])
-def test_replicate_working_set(n, bound):
-    # only the sample block and its scaled copy scale with the block: 2 x 1.6 MB
-    # at n = 100 (2000 rows) and 2 x 8 MB at n = 1000 (1000 rows a block);
-    # every other pass runs on cache-sized slices of rows
-    cfg = _config(n=n, replications=2000, seed=3)
+@pytest.mark.parametrize("n, reps, bound", [(100, 2000, 4e6), (1000, 2000, 11e6),
+                                             (10**4, 300, 11e6)])
+def test_replicate_working_set(n, reps, bound):
+    # only the one sample buffer scales with the block, and every block
+    # reuses it: 1.6 MB at n = 100 (2000 rows), 8 MB at n = 1000 and n = 1e4
+    # (1000 and 100 rows a block); the rows are scaled in place, and every
+    # other pass runs on cache-sized slices of rows
+    cfg = _config(n=n, replications=reps, seed=3)
     simulate._replicate(cfg)   # first-call overhead off the trace
     tracemalloc.start()
     try:
@@ -245,12 +249,10 @@ class TestRun:
         assert err <= 3 * se_var, f"|var diff| = {err:.2f} vs 3*SE = {3*se_var:.2f}"
 
     def test_degenerate_when_fits_fail(self, monkeypatch):
-        def bad_fit(x):
-            rows = len(x)
-            return MleBatch(xi_hat=np.full(rows, 0.1), sigma_hat=np.ones(rows),
-                            log_likelihood=np.zeros(rows),
-                            converged=np.zeros(rows, dtype=bool))
-        monkeypatch.setattr(simulate, "fit_batch", bad_fit)
+        def bad_fit(y, scale):
+            rows = len(y)
+            return np.full(rows, 0.1), np.ones(rows), np.zeros(rows, dtype=bool)
+        monkeypatch.setattr(simulate, "_fit_scaled", bad_fit)
         with pytest.raises(tg.NumericalError):
             tg.run(_config())
 
