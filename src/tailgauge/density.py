@@ -51,7 +51,7 @@ from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
 from .mle import _check_size, asymptotic_covariance
-from .quadrature import _WORKSPACE, adaptive_rule
+from .quadrature import _row_slices, adaptive_rule
 
 # relative accuracy of the u-rule, the r-rule of the moments and the
 # z-quadrature, and the cap on their refinement rounds
@@ -234,13 +234,11 @@ def _integrand_matrix(cond, z: np.ndarray):
 
 def _u_sum(weights: np.ndarray, size: int, matrix) -> np.ndarray:
     """``weights @ matrix(cols)`` over slices ``cols`` of the ``size``
-    points that keep the (u, point) block within _WORKSPACE elements, so
+    points whose (u, point) blocks are cache-sized (``_row_slices``), so
     that the elementwise passes of ``matrix`` run in cache (at least one
     column per slice).  Slicing changes only the order of the BLAS sums."""
     out = np.empty(size, dtype=float)
-    step = max(1, _WORKSPACE // max(weights.size, 1))
-    for k in range(0, size, step):
-        cols = slice(k, k + step)
+    for cols in _row_slices(size, max(weights.size, 1)):
         out[cols] = weights @ matrix(cols)
     return out
 

@@ -15,9 +15,9 @@ Working in units of x/max(x) keeps the fit scale-equivariant.
 The search runs row-wise over an (R, n) block of samples (``fit_batch``):
 each row keeps its own grid, and each of its peaks its own bracket and
 stopping test; every step is one pass over the block, a cache-sized slice of
-rows at a time, and ``fit`` is the one-row case.  ``fit_batch`` searches a
-scaled copy of its input; the Monte Carlo loop scales its own block in place
-and calls the search (``_fit_scaled``) on it directly.
+rows at a time, and ``fit`` is the one-row case.  The search (``_fit_rows``)
+checks and scales a block it owns in place: ``fit_batch`` hands it a copy of
+its input, the Monte Carlo loop its own sample buffer.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gpd import _TINY, GpdParams
-from .quadrature import _WORKSPACE
+from .quadrature import _row_slices
 
 _log = logging.getLogger("tailgauge")
 
@@ -113,14 +113,6 @@ def log_likelihood(p: GpdParams, data) -> float:
     return float(_loglik(p.xi, p.sigma, x.ravel()))
 
 
-def _row_slices(rows: int, n: int):
-    """Slices of ``rows`` rows of length ``n``, each of at most _WORKSPACE
-    elements (one row where a row alone is longer).  Row-wise reductions
-    do not depend on the other rows, so slicing changes no result."""
-    step = max(1, _WORKSPACE // n)
-    return (slice(i, i + step) for i in range(0, rows, step))
-
-
 def _profile(w: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box-constrained profile log-likelihood of row ``rows[i]`` of ``y`` at
     ``w[i]``, and its xi.
@@ -134,10 +126,11 @@ def _profile(w: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray
     n = y.shape[1]
     theta = np.expm1(w)
     s = np.empty(theta.shape)
-    # one slice-sized buffer for every slice; "clip" only stops take from
-    # buffering its copy, as the rows are in range
-    buf = np.empty((min(rows.size, max(1, _WORKSPACE // n)), n))
-    for sl in _row_slices(rows.size, n):
+    # one buffer the size of the first, longest, slice serves every slice;
+    # "clip" only stops take from buffering its copy, as the rows are in range
+    slices = list(_row_slices(rows.size, n))
+    buf = np.empty((rows[slices[0]].size, n))
+    for sl in slices:
         r = rows[sl]
         z = y.take(r, axis=0, out=buf[:r.size], mode="clip")
         z *= theta[sl, None]
@@ -171,17 +164,17 @@ def _check_rows(x: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _polish(y: np.ndarray, rows: np.ndarray, a, b, fa, fb, x, fx):
-    """Brent's maximization of row profiles of ``y`` inside brackets [a, b].
+def _polish(f, a, b, fa, fb, x, fx):
+    """Brent's maximization of a batch of 1-D objectives inside brackets [a, b].
 
-    Search c runs on row ``rows[c]`` of ``y`` (a row with several peaks is
-    searched once per peak) and starts from its best point ``x`` (value
-    ``fx``) between the evaluated ends ``a`` and ``b`` (values ``fa`` and
-    ``fb``).  Each round takes a parabolic step through the three best points
-    seen, or a golden-section step into the larger side of the bracket where
-    the parabola is not trusted (Brent 1973, ch. 5), and stops once the
-    bracket around x is within _W_TOL.  Every round is one pass over the rows
-    of the live searches.
+    ``f(u, live)`` returns the values of the searches ``live`` at the points
+    ``u``.  Search c starts from its best point ``x`` (value ``fx``) between
+    the evaluated ends ``a`` and ``b`` (values ``fa`` and ``fb``).  Each round
+    takes a parabolic step through the three best points seen, or a
+    golden-section step into the larger side of the bracket where the
+    parabola is not trusted (Brent 1973, ch. 5), and stops once the bracket
+    around x is within _W_TOL.  Every round is one call of ``f`` on the live
+    searches.
     Returns the best point, its value, the final bracket and the number of
     rounds.
     """
@@ -198,8 +191,8 @@ def _polish(y: np.ndarray, rows: np.ndarray, a, b, fa, fb, x, fx):
             for o, val in zip(out, (x, fx, a, b)):
                 o[live[done]] = val[done]
             keep = ~done
-            live, rows, a, b, x, fx, w, fw, v, fv, d, e = (
-                t[keep] for t in (live, rows, a, b, x, fx, w, fw, v, fv, d, e))
+            live, a, b, x, fx, w, fw, v, fv, d, e = (
+                t[keep] for t in (live, a, b, x, fx, w, fw, v, fv, d, e))
             if not live.size:
                 return (*out, rounds)
         rounds += 1
@@ -223,7 +216,7 @@ def _polish(y: np.ndarray, rows: np.ndarray, a, b, fa, fb, x, fx):
         d = np.where(para, np.where(near_end, np.copysign(_W_TOL, mid - x), step),
                      _CGOLD * gold)
         u = x + np.where(np.abs(d) >= _W_TOL, d, np.copysign(_W_TOL, d))
-        fu = _profile(u, y, rows)[0]
+        fu = f(u, live)
         up = fu >= fx
         a = np.where(up, np.where(u >= x, x, a), np.where(u < x, u, a))
         b = np.where(up, np.where(u >= x, b, x), np.where(u < x, b, u))
@@ -237,14 +230,16 @@ def _polish(y: np.ndarray, rows: np.ndarray, a, b, fa, fb, x, fx):
         x, fx = np.where(up, u, x), np.where(up, fu, fx)
 
 
-def _fit_scaled(y: np.ndarray, scale: np.ndarray):
-    """The search of ``fit_batch`` on a block the caller owns: each row of
-    ``y`` is a checked sample already divided by its maximum, ``scale``.
+def _fit_rows(x: np.ndarray):
+    """The search of ``fit_batch`` on a block ``x`` the caller owns.
 
-    Reads ``y`` without changing it and allocates nothing of its size.
-    Returns the row-wise ``xi``, ``sigma`` and ``converged``; no
-    log-likelihood, which the Monte Carlo loop never reads.
+    Raises as ``fit_batch`` documents, divides each row by its maximum in
+    place and allocates nothing else of the block's size.  Returns the
+    row-wise ``xi``, ``sigma`` and ``converged``; no log-likelihood, which the
+    Monte Carlo loop never reads.
     """
+    scale = _check_rows(x)
+    y = np.divide(x, scale[:, None], out=x)   # in place: y is x
     rows, n = y.shape
     every = np.arange(rows)
     # The profile's slope brackets its maximizer.  Below -log1p(n) the point
@@ -271,8 +266,8 @@ def _fit_scaled(y: np.ndarray, scale: np.ndarray):
     lo = (cand_r, np.maximum(cand_k - 1, 0))
     hi = (cand_r, np.minimum(cand_k + 1, _N_GRID - 1))
     at = (cand_r, cand_k)
-    w, f, a, b, rounds = _polish(y, cand_r, grid[lo], grid[hi], val[lo], val[hi],
-                                 grid[at], val[at])
+    w, f, a, b, rounds = _polish(lambda u, live: _profile(u, y, cand_r[live])[0],
+                                 grid[lo], grid[hi], val[lo], val[hi], grid[at], val[at])
     # per row the candidate of largest value, the first one on ties
     order = np.lexsort((-f, cand_r))
     pick = order[np.r_[True, cand_r[order[1:]] != cand_r[order[:-1]]]]
@@ -306,11 +301,10 @@ def fit_batch(data) -> MleBatch:
     for a row that is not finite, has negative values or is constant.
     """
     x = np.asarray(data, dtype=float)
-    scale = _check_rows(x)
-    # the search gets a scaled copy, freed when it returns: x and the copy
-    # are the only (R, n) arrays, and every other pass over the block runs a
+    # the search scales a copy, freed when it returns: x and the copy are
+    # the only (R, n) arrays, and every other pass over the block runs a
     # _row_slices slice at a time
-    xi, sigma, converged = _fit_scaled(x / scale[:, None], scale)
+    xi, sigma, converged = _fit_rows(x.copy())
     ll = np.empty(x.shape[0])
     for sl in _row_slices(*x.shape):
         ll[sl] = _loglik(xi[sl], sigma[sl], x[sl])

@@ -56,6 +56,14 @@ _INIT_PANELS = 8
 _WORKSPACE = 32_768
 
 
+def _row_slices(rows: int, n: int):
+    """Slices of ``rows`` rows of length ``n``, each of at most _WORKSPACE
+    elements (one row where a row alone is longer).  Row-wise reductions
+    do not depend on the other rows, so slicing changes no result."""
+    step = max(1, _WORKSPACE // n)
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
 def panel_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(P, 15) node matrix for panels [lo_i, hi_i]."""
     mid = 0.5 * (lo + hi)

@@ -8,9 +8,9 @@ serves the whole run: it is re-keyed to (seed, r) before row r is drawn.
 Samples are drawn and fitted a block of rows at a time, in one buffer that
 every block reuses: each row's uniforms come from its own stream, the
 inverse transform (``gpd.sample``'s) runs in place on cache-sized slices of
-the block's rows, each row is divided in place by its maximum, and the
-row-wise MLE search fits each row on its own, so results do not depend on
-the block size either.  That buffer is the only array of the block's size.
+the block's rows, and the row-wise MLE search divides each row in place by
+its maximum and fits it on its own, so results do not depend on the block
+size either.  That buffer is the only array of the block's size.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ import numpy as np
 from .density import DensitySpec, cdf_of_estimator
 from .errors import NumericalError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _from_uniform, _scaled_expm1, quantile
-from .mle import _check_rows, _fit_scaled, _row_slices, asymptotic_covariance
+from .mle import _fit_rows, asymptotic_covariance
+from .quadrature import _row_slices
 
 MIN_REPLICATIONS = 100
 MAX_FAILED_FRACTION = 0.10
@@ -101,10 +102,8 @@ def _replicate(config: SimConfig):
         for sl in _row_slices(stop - start, n):
             x[sl] = _from_uniform(config.params, x[sl])
         t1 = time.perf_counter()
-        # the search reads each row in units of its maximum, scaled in place
-        scale = _check_rows(x)
-        x /= scale[:, None]
-        xi_hat[start:stop], sigma_hat[start:stop], ok[start:stop] = _fit_scaled(x, scale)
+        # the search checks the rows and scales them in place
+        xi_hat[start:stop], sigma_hat[start:stop], ok[start:stop] = _fit_rows(x)
         stages["sample"] += t1 - t0
         stages["fit"] += time.perf_counter() - t1
     failed = int((~ok).sum())

@@ -34,6 +34,12 @@ class TestBiasLaw:
         with pytest.raises(tg.ValidationError, match="finite"):
             tg.bias_law(tg.PRACTICAL_PARAMS, 100, xi)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected(self, bad):
+        for params in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(tg.ValidationError, match="constants must be finite"):
+                tg.BiasLawParams(*params)
+
     @pytest.mark.parametrize("params, n", [
         ((1.0, 1000.0, 1.0), 10),       # exp(...) overflows
         ((400.0, 0.0, 0.0), 10),        # n**a1 overflows
@@ -109,6 +115,14 @@ class TestFitBiasLaw:
                                    list(range(50, 63)), [0.25])
         with pytest.raises(tg.ValidationError, match="rank"):
             tg.fit_bias_law(surf)
+
+    def test_collinear_design_is_rank_deficient(self):
+        # three distinct n and xi, but xi = 0.1 log10(n) makes the xi column
+        # a multiple of the log(n) column
+        rows = tuple(tg.SurfaceRow(n=n, xi=0.1 * math.log10(n), bias=1.0, variance=1.0)
+                     for n in (10, 100, 1000) for _ in range(4))
+        with pytest.raises(tg.ValidationError, match="grid does not identify the law"):
+            tg.fit_bias_law(tg.BiasSurface(alpha=A999, sigma=1.0, rows=rows))
 
     def test_too_few_rows(self):
         surf = self._exact_surface(tg.PRACTICAL_PARAMS, [50, 100, 200], [0.0, 0.2])

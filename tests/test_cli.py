@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import tailgauge as tg
 from tailgauge import cli
 from tailgauge.cli import _emit_json, main, read_series
+from tailgauge.tail import fit_tail
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +174,24 @@ class TestFitCommand:
         p.write_text("".join(f"{v}\n" for v in range(50)))
         assert main(["fit", str(p)]) == 2
         assert "100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["0.01", "0.6"])
+    def test_tail_fraction_outside_bounds_exits_2(self, fraction, small_series, capsys):
+        assert main(["fit", str(small_series), "--tail-fraction", fraction]) == 2
+        assert capsys.readouterr().err == (
+            f"error: tail fraction must lie in [0.02, 0.5], got {fraction}\n")
+
+    def test_unconverged_fit_is_flagged(self, small_series, tmp_path, monkeypatch):
+        def unconverged(sample, fraction):
+            tf = fit_tail(sample, fraction)
+            return dataclasses.replace(
+                tf, estimate=dataclasses.replace(tf.estimate, converged=False))
+        monkeypatch.setattr(cli, "fit_tail", unconverged)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(small_series), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["converged"] is False
+        assert "mle_not_converged" in rep["warnings"]
 
     def test_missing_file_is_io_error(self):
         assert main(["fit", "/nonexistent/losses.csv"]) == 4
@@ -619,6 +639,12 @@ class TestConfigLayering:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "tg.conf"
+        cfg.write_text("alpha 0.99\n")
+        assert main(_cheap_argv("bias-table") + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: bad config line: 'alpha 0.99'\n"
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "tg.conf"
         cfg.write_text("sigma = 2\naplha = 0.99\n")
@@ -686,17 +712,20 @@ def test_cli_import_leaves_scipy_out(small_series, tmp_path):
     # numpy is the only runtime dependency and scipy a test oracle; numpy.ma
     # is why simulate reads its histogram edge off _linear_quantile.  Neither
     # is imported by the CLI module, nor by a run of its subcommands.
+    # numpy.random (about 5 MB of RSS, OpenSSL through secrets and hmac) is
+    # loaded by simulate alone, so it runs last.
     runs = [_cheap_argv(c, small_series) + ["--out", str(tmp_path / f"{c}.out")]
-            for c in ("simulate", "density", "bias-table", "fit")]
+            for c in ("density", "bias-table", "fit", "simulate")]
     src = os.path.dirname(os.path.dirname(tg.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, tailgauge.cli\n"
-        "print([m for m in ('scipy', 'numpy.ma') if m in sys.modules])\n"
+        "mods = ('scipy', 'numpy.ma', 'numpy.random')\n"
+        "print([m for m in mods if m in sys.modules])\n"
         f"for argv in {runs!r}:\n"
         "    assert tailgauge.cli.main(argv) == 0, argv\n"
-        "    print([m for m in ('scipy', 'numpy.ma') if m in sys.modules])\n")
+        "    print([m for m in mods if m in sys.modules])\n")
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines() == ["[]"] * 5
+    assert res.stdout.splitlines() == ["[]"] * 4 + ["['numpy.random']"]

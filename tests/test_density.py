@@ -158,6 +158,11 @@ class TestSpecValidation:
         assert [w.category for w in rec] == [tg.OutsideValidatedRegionWarning]
         assert rec[0].filename == __file__
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(tg.ValidationError, match="sigma must be positive"):
+            _spec(100, 0.25, sigma=sigma)
+
     def test_shape_hard_limit(self):
         # the density formula itself needs xi > -0.5, override or not
         with pytest.raises(tg.ValidationError):
@@ -768,7 +773,7 @@ def test_chunk_size_does_not_change_results(monkeypatch, n, xi, workspace):
     lo, hi = _window(spec)
     q, z = np.linspace(lo, hi, 2000), np.linspace(lo, hi, 512)
     cdf, dens = tg.cdf_of_estimator(spec, q), tg.density(spec, z)
-    monkeypatch.setattr(importlib.import_module("tailgauge.density"),
+    monkeypatch.setattr(importlib.import_module("tailgauge.quadrature"),
                         "_WORKSPACE", workspace)
     assert np.abs(tg.cdf_of_estimator(spec, q) - cdf).max() <= 1e-14
     assert np.abs(tg.density(spec, z) - dens).max() <= 1e-14 * dens.max()

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailgauge as tg
-from tailgauge import mle
-from tailgauge.mle import XI_BOX, _fit_scaled, _loglik, fit_batch
+from tailgauge import mle, quadrature
+from tailgauge.mle import XI_BOX, _fit_rows, _loglik, fit_batch
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -38,6 +38,11 @@ class TestLogLikelihood:
 
     def test_negative_data_sentinel(self):
         assert tg.log_likelihood(tg.GpdParams(1.0, 0.25), [1.0, -0.5]) == -math.inf
+
+    @pytest.mark.parametrize("data", [[], [1.0, math.nan], [1.0, math.inf]])
+    def test_empty_or_non_finite_data_rejected(self, data):
+        with pytest.raises(tg.ValidationError, match="nonempty sequence of finite"):
+            tg.log_likelihood(tg.GpdParams(1.0, 0.25), data)
 
     @pytest.mark.parametrize("xi", [0.0, 1e-200, 1e-12, 9e-9, -1e-200, -1e-12, -9e-9, 0.3])
     def test_small_shape_against_scipy(self, xi):
@@ -87,6 +92,30 @@ class TestFit:
             tg.fit([1.0, -1.0, 2.0])
         with pytest.raises(tg.ValidationError, match="one-dimensional"):
             tg.fit([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_estimate_needs_positive_sigma(self, sigma):
+        with pytest.raises(tg.ValidationError, match="sigma_hat must be positive"):
+            tg.MleEstimate(xi_hat=0.1, sigma_hat=sigma, log_likelihood=0.0, n=10,
+                           converged=True)
+
+    def test_profile_at_the_exponential_limit(self):
+        # theta = 0 is the limit of its neighbours: -n (log mean(y) + 1)
+        x = tg.sample(tg.GpdParams(1.0, 0.25), np.random.default_rng(17), 100)
+        y = (x / x.max())[None, :]
+        val, xi = mle._profile(np.array([0.0, 1e-9, -1e-9]), y, np.zeros(3, dtype=int))
+        assert val[0] == pytest.approx(-y.size * (math.log(y.mean()) + 1.0), rel=1e-15)
+        assert xi[0] == 0.0
+        assert val[1:] == pytest.approx([val[0], val[0]], rel=1e-8)
+
+    def test_exponential_limit_sigma_is_the_sample_mean(self, monkeypatch):
+        # a polished w of exactly 0 is theta = 0, where xi/theta is 0/0
+        x = _gpd_rows(5, 50, seed=21)
+        monkeypatch.setattr(mle, "_polish", lambda f, a, b, fa, fb, w, fw: (
+            np.zeros_like(w), fw, a, b, 0))
+        got = fit_batch(x)
+        np.testing.assert_array_equal(got.xi_hat, 0.0)
+        np.testing.assert_allclose(got.sigma_hat, x.mean(axis=1), rtol=1e-15)
 
     def test_equivariance_under_scaling(self):
         rng = np.random.default_rng(13)
@@ -164,8 +193,9 @@ class TestFitBatch:
         assert np.isin(batch.xi_hat, XI_BOX).any()
 
     def test_input_is_left_unchanged(self):
-        # the search runs on a scaled copy: the caller's block and row keep
-        # every byte, and the search on an owned scaled block gives the batch
+        # the search scales a copy: the caller's block and row keep every
+        # byte, and the search on an owned block gives the batch and leaves
+        # each row of that block divided by its maximum
         x = _gpd_rows(40, 100, seed=9)
         before = x.tobytes()
         batch = fit_batch(x)
@@ -173,8 +203,9 @@ class TestFitBatch:
         row = x[7].copy()
         tg.fit(row)
         assert row.tobytes() == x[7].tobytes()
-        scale = x.max(axis=1)
-        xi, sigma, converged = _fit_scaled(x / scale[:, None], scale)
+        owned = x.copy()
+        xi, sigma, converged = _fit_rows(owned)
+        np.testing.assert_array_equal(owned, x / x.max(axis=1)[:, None])
         np.testing.assert_array_equal(xi, batch.xi_hat)
         np.testing.assert_array_equal(sigma, batch.sigma_hat)
         np.testing.assert_array_equal(converged, batch.converged)
@@ -188,7 +219,7 @@ class TestFitBatch:
         if n == 3:
             x = np.vstack([x, _TWO_PEAKS])
         want = fit_batch(x)
-        monkeypatch.setattr(mle, "_WORKSPACE", workspace)
+        monkeypatch.setattr(quadrature, "_WORKSPACE", workspace)
         got = fit_batch(x)
         for field in ("xi_hat", "sigma_hat", "log_likelihood", "converged"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))

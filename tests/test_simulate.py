@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tailgauge as tg
-from tailgauge import mle, simulate
+from tailgauge import quadrature, simulate
 from tailgauge.simulate import _kolmogorov_sf
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -84,25 +84,24 @@ class TestReproducibility:
     def test_block_rows_equal_per_row_samples(self, monkeypatch, xi):
         # 64 rows per block: the blocks are 64, 64 and 22 rows of R = 150,
         # transformed three rows at a time (the last slice of a block is
-        # shorter).  The search gets each row in units of its maximum, in
-        # the one buffer every block reuses, so the recorder copies it
+        # shorter).  The search gets the rows in the one buffer every block
+        # reuses and scales them in place, so the recorder copies them first
         cfg = _config(params=tg.GpdParams(1.0, xi))
-        monkeypatch.setattr(mle, "_WORKSPACE", 3 * cfg.n)
-        real, blocks = simulate._fit_scaled, []
+        monkeypatch.setattr(quadrature, "_WORKSPACE", 3 * cfg.n)
+        real, blocks = simulate._fit_rows, []
 
-        def recording(y, scale):
-            blocks.append((y.copy(), scale.copy()))
-            return real(y, scale)
+        def recording(x):
+            blocks.append(x.copy())
+            return real(x)
 
         monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 64 * cfg.n)
-        monkeypatch.setattr(simulate, "_fit_scaled", recording)
+        monkeypatch.setattr(simulate, "_fit_rows", recording)
         simulate._replicate(cfg)
-        assert [y.shape[0] for y, _ in blocks] == [64, 64, 22]
-        y, scale = (np.concatenate(part) for part in zip(*blocks))
+        assert [x.shape[0] for x in blocks] == [64, 64, 22]
+        x = np.concatenate(blocks)
         for r in range(cfg.replications):
-            x = tg.sample(cfg.params, _philox(cfg.seed, r), cfg.n)
-            assert scale[r] == x.max()
-            np.testing.assert_array_equal(y[r], x / x.max())
+            np.testing.assert_array_equal(
+                x[r], tg.sample(cfg.params, _philox(cfg.seed, r), cfg.n))
 
     @pytest.mark.parametrize("seed", [0, 99, 2**64 - 1])
     def test_block_rows_are_fresh_philox_streams(self, monkeypatch, seed):
@@ -249,10 +248,10 @@ class TestRun:
         assert err <= 3 * se_var, f"|var diff| = {err:.2f} vs 3*SE = {3*se_var:.2f}"
 
     def test_degenerate_when_fits_fail(self, monkeypatch):
-        def bad_fit(y, scale):
-            rows = len(y)
+        def bad_fit(x):
+            rows = len(x)
             return np.full(rows, 0.1), np.ones(rows), np.zeros(rows, dtype=bool)
-        monkeypatch.setattr(simulate, "_fit_scaled", bad_fit)
+        monkeypatch.setattr(simulate, "_fit_rows", bad_fit)
         with pytest.raises(tg.NumericalError):
             tg.run(_config())
 

@@ -179,6 +179,23 @@ def test_fit_tail_pipeline_consistency():
     assert ll == pytest.approx(tf.estimate.log_likelihood, abs=1e-6)
 
 
+@pytest.mark.parametrize("u_hat, n_hat, exceedances, what", [
+    (1.0, 3, [1.0, 2.0], "number of exceedances"),
+    (1.0, 0, [], "number of exceedances"),
+    (1.0, 2, [1.0, 0.0], "strictly positive"),
+    (math.inf, 2, [1.0, 2.0], "threshold must be finite"),
+    (math.nan, 2, [1.0, 2.0], "threshold must be finite"),
+])
+def test_tail_selection_validation(u_hat, n_hat, exceedances, what):
+    with pytest.raises(tg.ValidationError, match=what):
+        tg.TailSelection(u_hat=u_hat, n_hat=n_hat, exceedances=np.array(exceedances))
+
+
+def test_tail_fit_needs_the_whole_sample():
+    with pytest.raises(tg.ValidationError, match="N must be at least"):
+        _synthetic_fit(u_hat=1.0, n_hat=50, N=49, xi_hat=0.25, sigma_hat=1.0)
+
+
 def test_sample_validation():
     with pytest.raises(tg.ValidationError):
         tg.Sample(np.arange(5.0))
