@@ -153,42 +153,69 @@ def psi(u, level: ConfidenceLevel):
     return float(out) if out.ndim == 0 else out
 
 
-def _nested(num, den, x):
-    """Numerator and denominator of Cody's rational form, less their last terms."""
-    xnum, xden = num[-1] * x, x
-    for a, b in zip(num[:len(den) - 1], den[:-1]):
-        xnum = (xnum + a) * x
-        xden = (xden + b) * x
-    return xnum, xden
+def _rational(num, den, x, times=None):
+    """Cody's rational form ``P(x) / Q(x)``, ``P`` times ``times`` where that
+    is given, in place in two arrays: with the nested (Horner) sums ``p``
+    and ``q`` of all but the last terms, every element rounds as
+    ``(p + num[-2]) * times / (q + den[-1])``."""
+    p, q = num[-1] * x, x.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        p += a
+        p *= x
+        q += b
+        q *= x
+    p += num[-2]
+    if times is not None:
+        p *= times   # before the division
+    q += den[-1]
+    p /= q
+    return p
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function, elementwise, to a few ulp (Cody 1969)."""
+    """Complementary error function, elementwise, to a few ulp (Cody 1969).
+
+    Each branch evaluates the formula in its comment in place, in the
+    formula's order of operations, so every element rounds as it would."""
     y = np.abs(x)
     out = np.zeros_like(y)
     small = y <= 0.46875
     mid = (y > 0.46875) & (y <= 4.0)
     big = ~(y <= 4.0) & ~(y >= _ERFC_ZERO)   # NaN falls here and stays NaN
+    # 1 - x P(x^2) / Q(x^2)
     xs = x[small]
-    num, den = _nested(_ERF_A, _ERF_B, xs * xs)
-    out[small] = 1.0 - xs * (num + _ERF_A[3]) / (den + _ERF_B[3])
+    r = _rational(_ERF_A, _ERF_B, xs * xs, times=xs)
+    out[small] = np.subtract(1.0, r, out=r)
+    # exp(-y^2) P(y) / Q(y)
     ym = y[mid]
-    num, den = _nested(_ERF_C, _ERF_D, ym)
-    out[mid] = _times_gauss(ym, (num + _ERF_C[7]) / (den + _ERF_D[7]))
+    out[mid] = _times_gauss(ym, _rational(_ERF_C, _ERF_D, ym))
+    # exp(-y^2) (1/sqrt(pi) - w P(w) / Q(w)) / y, w = 1/y^2
     yb = y[big]
     w = 1.0 / (yb * yb)
-    num, den = _nested(_ERF_P, _ERF_Q, w)
-    out[big] = _times_gauss(
-        yb, (_INV_SQRT_PI - w * (num + _ERF_P[4]) / (den + _ERF_Q[4])) / yb)
-    flip = (x < 0.0) & ~small
-    out[flip] = 2.0 - out[flip]
+    r = _rational(_ERF_P, _ERF_Q, w, times=w)
+    del w   # freed before _times_gauss takes its two work arrays
+    np.subtract(_INV_SQRT_PI, r, out=r)
+    r /= yb
+    out[big] = _times_gauss(yb, r)
+    np.subtract(2.0, out, out=out, where=(x < 0.0) & ~small)
     return out
 
 
 def _times_gauss(y: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """r * exp(-y^2), with y^2 split so that its rounding does not enter."""
+    """r * exp(-head^2) exp(-(y - head)(y + head)) = r * exp(-y^2), with
+    head = trunc(16 y)/16 so that the rounding of y^2 does not enter; in
+    place in ``r``, with two work arrays (``head`` is built twice)."""
     head = np.trunc(16.0 * y) / 16.0
-    return np.exp(-head * head) * np.exp(-(y - head) * (y + head)) * r
+    rest = y + head
+    rest *= np.negative(np.subtract(y, head, out=head), out=head)
+    np.exp(rest, out=rest)
+    np.trunc(np.multiply(16.0, y, out=head), out=head)
+    head /= 16.0
+    head *= head
+    np.exp(np.negative(head, out=head), out=head)
+    head *= rest
+    r *= head
+    return r
 
 
 class _Law(NamedTuple):

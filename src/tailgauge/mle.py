@@ -251,7 +251,8 @@ def _fit_rows(x: np.ndarray):
         y_j[sl] = np.partition(y[sl], j, axis=1)[:, j]
     with np.errstate(divide="ignore"):
         w_hi = np.where(y_j > 0.0, np.minimum(np.log1p(10.0 / y_j), _W_MAX), _W_MAX)
-    grid = np.linspace(np.full(rows, -math.log1p(n)), w_hi, _N_GRID, axis=1)
+    w_lo = -math.log1p(n)
+    grid = np.linspace(np.full(rows, w_lo), w_hi, _N_GRID, axis=1)
     # the grid one point at a time: an (R, n) pass each, no (R, G, n) block
     val = np.empty((rows, _N_GRID))
     for k in range(_N_GRID):
@@ -266,8 +267,10 @@ def _fit_rows(x: np.ndarray):
     lo = (cand_r, np.maximum(cand_k - 1, 0))
     hi = (cand_r, np.minimum(cand_k + 1, _N_GRID - 1))
     at = (cand_r, cand_k)
+    start = grid[lo], grid[hi], val[lo], val[hi], grid[at], val[at]
+    del grid, val, peak   # the polish needs only its start points
     w, f, a, b, rounds = _polish(lambda u, live: _profile(u, y, cand_r[live])[0],
-                                 grid[lo], grid[hi], val[lo], val[hi], grid[at], val[at])
+                                 *start)
     # per row the candidate of largest value, the first one on ties
     order = np.lexsort((-f, cand_r))
     pick = order[np.r_[True, cand_r[order[1:]] != cand_r[order[:-1]]]]
@@ -280,9 +283,9 @@ def _fit_rows(x: np.ndarray):
     at_zero = theta == 0.0
     if at_zero.any():
         sigma[at_zero] = scale[at_zero] * y[at_zero].mean(axis=1)
-    # a maximizer whose final bracket still touches an end of the grid is
-    # the bracket's edge, not a stationary point
-    converged = (a > grid[:, 0]) & (b < grid[:, -1])
+    # a maximizer whose final bracket still touches an end of the grid,
+    # w_lo or w_hi, is the bracket's edge, not a stationary point
+    converged = (a > w_lo) & (b < w_hi)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("mle fit_batch: %d rows of n=%d, %d polish rounds, "
                    "%d rows with several grid peaks, %d box-edge hits, "

@@ -44,15 +44,16 @@ MAX_PANELS = 16384
 _INIT_PANELS = 8
 # elements of one block of integrand values: a chunk of adaptive_rule's
 # panels, or of the density's u-sums.  A chunk of 32K doubles is 256 KB and
-# density._erfc holds about eight arrays of that size at once, so its ~30
+# density._erfc, in place, holds at most 6.4 arrays of that size besides
+# its argument (4.3 at fig-1; tracemalloc peaks), so its few dozen
 # elementwise passes stay in the 2 MB per-core L2 instead of streaming
 # through DRAM, and the allocator reuses the freed arrays; at 64K it often
 # hands them back to the OS and faults them in again.
-# cdf_of_estimator at fig-1 (960 u-nodes, the 2000 points of an R=2000
-# Monte Carlo) on a 2-vCPU Xeon.  Warm in one process, median of 15: 4M
-# 0.148 s, 1M 0.123, 256K 0.090, 128K 0.078, 64K 0.076, 32K 0.085, 16K
-# 0.092, 4K 0.171.  Cold in a fresh process, as in the CLI, median
-# [quartiles] of 20: 64K 0.102 s [0.079-0.137], 32K 0.084 s [0.073-0.090].
+# cdf_of_estimator at fig-1 (the 540-node u-rule, the 2000 points of an
+# R=2000 Monte Carlo) on a 2-vCPU Xeon.  Warm in one process, median of 15:
+# 4M 0.043 s, 1M 0.044, 256K 0.022, 128K 0.021, 64K 0.021, 32K 0.022, 16K
+# 0.028, 4K 0.061.  Cold in a fresh process, as in the CLI, median
+# [quartiles] of 20: 64K 0.060 s [0.056-0.062], 32K 0.056 s [0.054-0.061].
 _WORKSPACE = 32_768
 
 
