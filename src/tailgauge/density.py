@@ -1,12 +1,13 @@
 """Finite-sample density of the GPD quantile estimator, its CDF and moments.
 
 The sampling law of the plug-in tail quantile at sample size ``n`` is
-approximated by pushing the limiting bivariate normal of the parameter
-estimators ``(u, v) = (xi_hat, sigma_hat)``, the one ``mle.asymptotic_covariance``
-states, through the quantile map ``z = v / psi(u)``, with
-``psi(u) = u / ((1-alpha)**(-u) - 1) > 0``.  Given ``u``, ``v`` is normal with
-the conditional mean ``m(u)`` and sd ``s`` of that law.  The density and the
-CDF are expectations over ``u`` of that conditional normal:
+approximated by pushing a bivariate normal of the parameter estimators
+``(u, v) = (xi_hat, sigma_hat)``, by default the limiting one that
+``mle.asymptotic_covariance`` states, through the quantile map
+``z = v / psi(u)``, with ``psi(u) = u / ((1-alpha)**(-u) - 1) > 0``.  Given
+``u``, ``v`` is normal with the conditional mean ``m(u)`` and sd ``s`` of
+that law.  The density and the CDF are expectations over ``u`` of that
+conditional normal:
 
     density    f(z) = E_u psi(u) phi((z psi(u) - m(u))/s) / s
     CDF        G(z) = E_u Phi((z psi(u) - m(u))/s)
@@ -15,25 +16,23 @@ CDF are expectations over ``u`` of that conditional normal:
 
 (the density is the paper's formula with its exponent split into the normal
 densities of ``u`` and of ``v`` given ``u``).  ``EstimatorLaw`` holds one
-spec's law.  All of these are weighted sums over its adaptive u-rule, built
-once per law object on first use and refined until its mass and its density
-at a few probe points are resolved; ``stats`` reads its normalization
-defect off that mass.  The moments need no u-rule: with
+spec's law, its normal fixed at construction from ``law=``.  All of these are
+weighted sums over its adaptive u-rule, built on first use and refined until
+its mass and its density at a few probe points are resolved; ``stats`` reads
+its normalization defect off that mass.  The moments need no u-rule: with
 ``1/psi(u) = int_0^t e^{ru} dr`` they are exact 1-D integrals over ``r`` of
-the same normal's moment generating function, whatever its mean
-``(mu_u, mu_v)``: with slope ``c``, ``v = sd_u^2`` and ``h = r (mu_u - xi) +
-r^2 v/2``, ``bias = int_0^t e^{r xi} [sigma expm1(h) + (mu_v - sigma + c r v)
-e^h] dr`` about the true quantile ``q`` (``EstimatorLaw.moments``), so nothing
-cancels at any ``n``; the bias/variance surface and ``fit``'s bias read them.
-``G`` is the CDF on the whole line, with no window behind it; quantiles
-bisect ``G`` up to the median and ``S`` above, from a bracket beyond which
-every node's normal is exactly 0.  Only ``stats(method="quadrature")``, the
-cross-check, integrates the density over z, across the whole line.
-Every rule runs at one fixed accuracy: relative 1e-8 (``_REL_TOL``), with at
-most 20 refinement rounds (``_MAX_REFINEMENTS``).  Nothing is memoised
-beyond one law object: the module functions build a fresh one per call.
-The approximation is validated for ``n >= 50`` and ``xi`` in [0, 0.5];
-anything else must be requested explicitly and is flagged by a warning.
+the normal's moment generating function, whatever its centre
+(``EstimatorLaw.moments``), so nothing cancels at any ``n``; the surface and
+``fit``'s bias read them.  ``G`` is the CDF on the whole line, with no window
+behind it; quantiles bisect ``G`` up to the median and ``S`` above, from a
+bracket beyond which every node's normal is exactly 0.  Only the cross-check
+``stats(method="quadrature")`` integrates the density over z, across the
+whole line.  Every rule runs at one fixed accuracy: relative 1e-8
+(``_REL_TOL``), with at most 20 refinement rounds (``_MAX_REFINEMENTS``).
+Nothing is memoised beyond one law object: the module functions build a
+fresh one per call.  The approximation is validated for ``n >= 50`` and
+``xi`` in [0, 0.5]; anything else must be requested explicitly and is
+flagged by a warning.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 from .bias import BiasSurface, SurfaceRow
 from .errors import OutsideValidatedRegionWarning, QuadratureError, ValidationError
 from .gpd import ConfidenceLevel, GpdParams, _scaled_expm1, quantile
-from .mle import _check_size, asymptotic_covariance
+from .mle import AsymptoticCovariance, _check_size, asymptotic_covariance
 from .quadrature import _row_slices, adaptive_rule
 
 # relative accuracy of the u-rule, the r-rule of the moments and the
@@ -219,10 +218,8 @@ def _times_gauss(y: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 class _Law(NamedTuple):
-    """The normal law of (u, v) that ``mle.asymptotic_covariance`` states, in
-    the form ``_conditional_law`` reads: the mean and sd of u, and the mean
-    of v, its slope on u and its sd given u.  Floats for one spec, or arrays
-    that broadcast with the nodes u."""
+    """A normal law of (u, v) in the form ``_conditional_law`` reads: the mean
+    and sd of u, and the mean of v, its slope on u and its sd given u."""
 
     mu_u: float
     sd_u: float
@@ -240,8 +237,7 @@ class _URule(NamedTuple):
 
 def _conditional_law(law: _Law, t, u: np.ndarray):
     """The normal ``law`` of (u, v) at the nodes ``u``: the density g of u,
-    psi(u), and the mean m(u) and sd s of the normal of v given u.  The
-    law's fields and ``t`` are floats or arrays that broadcast with ``u``."""
+    psi(u), and the mean m(u) and sd s of the normal of v given u."""
     du = u - law.mu_u
     g = np.exp(-0.5 * (du / law.sd_u) ** 2) / (law.sd_u * math.sqrt(2.0 * math.pi))
     return g, 1.0 / _scaled_expm1(u, t), law.mu_v + law.slope * du, law.s
@@ -270,6 +266,24 @@ def _u_sum(weights: np.ndarray, size: int, matrix) -> np.ndarray:
     return out
 
 
+def _checked(law: AsymptoticCovariance) -> AsymptoticCovariance:
+    """A passed ``law`` in floats, once it is a normal of (u, v) whose v given
+    u is a proper normal; else a ValidationError says what it lacks."""
+    try:
+        mean, cov = (np.asarray(a, dtype=float) for a in (law.mean_vector, law.cov_matrix))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"law must be an AsymptoticCovariance of numbers: {exc}") from exc
+    c00, c01, c10, c11 = cov.ravel().tolist() if cov.shape == (2, 2) else [math.nan] * 4
+    lacks = ("a mean of two finite numbers" if mean.shape != (2,) or not np.isfinite(mean).all()
+             else "a finite 2x2 covariance" if not np.isfinite([c00, c01, c10, c11]).all()
+             else "a symmetric covariance" if c01 != c10
+             else "c00 > 0" if not c00 > 0.0
+             else "c11 - c01^2/c00 > 0" if not c11 - c01 * (c01 / c00) > 0.0 else None)
+    if lacks:
+        raise ValidationError(f"law needs {lacks}, got {law}")
+    return AsymptoticCovariance(tuple(mean.tolist()), cov)
+
+
 def _user_stacklevel() -> int:
     """The ``stacklevel`` at which ``warnings.warn``, called by this helper's
     caller, names the first frame outside the package: the user's own line,
@@ -282,54 +296,40 @@ def _user_stacklevel() -> int:
 
 
 class EstimatorLaw:
-    """The finite-sample law of the quantile estimator at one spec: the limiting
-    normal law of (u, v) (``normal``), ``t = -log(1 - alpha)``, the true
-    quantile ``q_true``, and the u-rule, built on first use and kept for as
-    long as ``normal`` is the law it was built from."""
+    """The finite-sample law of the quantile estimator at one spec: ``normal``, of
+    (u, v), fixed at construction from ``law`` (``asymptotic_covariance``'s by
+    default), ``t = -log(1 - alpha)``, the true quantile ``q_true``, the u-rule."""
 
-    def __init__(self, spec: DensitySpec):
+    def __init__(self, spec: DensitySpec, law: AsymptoticCovariance | None = None):
         params = GpdParams(spec.sigma, spec.xi)
-        cov = asymptotic_covariance(params, spec.n)
-        (mu_u, mu_v), ((c00, c01), (_c10, c11)) = cov.mean_vector, cov.cov_matrix.tolist()
+        law = asymptotic_covariance(params, spec.n) if law is None else _checked(law)
+        (mu_u, mu_v), ((c00, c01), (_c10, c11)) = law.mean_vector, law.cov_matrix.tolist()
         slope = c01 / c00
         self.spec = spec
-        self.normal = _Law(mu_u, math.sqrt(c00), mu_v, slope,
-                           math.sqrt(c11 - c01 * slope))
+        self._normal = _Law(mu_u, math.sqrt(c00), mu_v, slope, math.sqrt(c11 - c01 * slope))
         self.t = -math.log1p(-spec.alpha.alpha)
         self.q_true = quantile(params, spec.alpha)
-        self._rule = (None, None)   # (the normal it was built from, the u-rule)
+        self._u_rule = None
+
+    normal = property(lambda self: self._normal, doc="The normal law of (u, v).")
 
     @property
     def u_rule(self) -> _URule:
-        """The u-rule of ``normal``, rebuilt whenever ``normal`` is replaced;
-        a rule set here stands for the ``normal`` of that moment."""
-        normal, rule = self._rule
-        if normal is not self.normal:
-            rule = self._build_u_rule()
-            self._rule = (self.normal, rule)
-        return rule
-
-    @u_rule.setter
-    def u_rule(self, rule: _URule) -> None:
-        self._rule = (self.normal, rule)
-
-    def _build_u_rule(self) -> _URule:
-        """The u-rule from one adaptive Kronrod call, after the region warning.
-
-        Over the truncated u-range it resolves, to relative ``_REL_TOL``, the
-        mass of u and the density at the probes.  Where it does not, where it
-        does not hold the law's unit mass, or where its quantile bracket is not
-        finite (psi underflows on the u-range), the QuadratureError names the spec."""
+        """The u-rule of ``normal``, built on first use by one adaptive Kronrod
+        call after the region warning, which resolves the mass of u and the
+        density at the probes on the truncated u-range to relative ``_REL_TOL``.
+        Where it does not, holds no unit mass, or has a quantile bracket that is
+        not finite (psi underflows on the u-range), QuadratureError names the spec."""
+        if self._u_rule is not None:
+            return self._u_rule
         spec, law, t = self.spec, self.normal, self.t
         if not spec.in_validated_region:
-            warnings.warn(
-                f"(n={spec.n}, xi={spec.xi}) lies outside the validated region; "
-                "results are an unchecked extrapolation",
-                OutsideValidatedRegionWarning, stacklevel=_user_stacklevel())
+            warnings.warn(f"(n={spec.n}, xi={spec.xi}) lies outside the validated region; "
+                          "results are an unchecked extrapolation",
+                          OutsideValidatedRegionWarning, stacklevel=_user_stacklevel())
         failed = f"u-rule failed at (n={spec.n}, xi={spec.xi})"
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            _g, psi_k, m_k, _s = _conditional_law(law, t,
-                                                  law.mu_u + _PROBE_SDS * law.sd_u)
+            _g, psi_k, m_k, _s = _conditional_law(law, t, law.mu_u + _PROBE_SDS * law.sd_u)
             probes = m_k / psi_k
 
             def integrands(u):
@@ -353,7 +353,8 @@ class EstimatorLaw:
             bracket = float(np.min((m - reach) / pu)), float(np.max((m + reach) / pu))
         if not all(map(math.isfinite, bracket)):
             raise QuadratureError(f"{failed}: its quantile bracket is not finite")
-        return _URule(nodes, weights, mass, bracket)
+        self._u_rule = _URule(nodes, weights, mass, bracket)
+        return self._u_rule
 
     @staticmethod
     def _shaped(points, evaluate):
@@ -473,8 +474,7 @@ class EstimatorLaw:
         bias, var = self.moments()
         mean = self.q_true + bias
         return QuantileStats(mean=mean, variance=var, bias=mean - self.q_true,
-                             true_quantile=self.q_true,
-                             normalization_defect=abs(mass - 1.0))
+                             true_quantile=self.q_true, normalization_defect=abs(mass - 1.0))
 
 
 def density(spec: DensitySpec, z):

@@ -683,20 +683,24 @@ def test_cross_check_raises_outside_the_validated_region():
 
 
 @pytest.mark.parametrize("n, xi, ulps", [(100, 0.25, 0), (50, 0.0, 0), (50, 0.5, 2)])
-def test_quantiles_do_not_follow_the_u_sum_order(n, xi, ulps):
+def test_quantiles_do_not_follow_the_u_sum_order(monkeypatch, n, xi, ulps):
     # the upper quantile bisects S, not G near 1, whose ulp of 1 let a
     # permuted u-rule move it by up to 1.7e-10 at fig-1.  S still carries a
     # few ulp of rounding, which can move an end of the final bracket by one
-    # double; at (50, 0.5) that shows as 2 ulp of the returned midpoint
+    # double; at (50, 0.5) that shows as 2 ulp of the returned midpoint.  A
+    # permutation leaves the rule's mass and bracket as they are
+    module = importlib.import_module("tailgauge.density")
     probs = (1e-4, 1 - 1e-4)
-    law = tg.EstimatorLaw(_spec(n, xi))
-    ref = law.quantile(probs)
-    rule = law.u_rule
+    spec = _spec(n, xi)
+    ref = tg.EstimatorLaw(spec).quantile(probs)
     for seed in range(8):
-        k = np.random.default_rng(seed).permutation(rule.nodes.size)
-        permuted = tg.EstimatorLaw(law.spec)
-        permuted.u_rule = rule._replace(nodes=rule.nodes[k], weights=rule.weights[k])
-        got = permuted.quantile(probs)
+        def permuted(f, lo, hi, *args):
+            total, err, nodes, weights = adaptive_rule(f, lo, hi, *args)
+            k = np.random.default_rng(seed).permutation(nodes.size)
+            return total, err, nodes[k], weights[k]
+
+        monkeypatch.setattr(module, "adaptive_rule", permuted)
+        got = tg.EstimatorLaw(spec).quantile(probs)
         assert np.all(np.abs(got - ref) <= ulps * np.spacing(ref)), (seed, got - ref)
 
 
@@ -873,15 +877,24 @@ def test_moments_match_gauss_hermite_in_and_out_of_region(n, xi, alpha, sigma):
     assert var == pytest.approx(ref_var, rel=1e-8)
 
 
+def _cox_snell_law(spec):
+    """The limiting normal law of spec, moved to the Cox-Snell corrected
+    centre ``(xi + b_xi, sigma + b_sigma)`` (Giles, Feng & Godwin 2016)."""
+    n, xi, sigma = spec.n, spec.xi, spec.sigma
+    b_xi = -(1 + xi) * (3 + xi) / (n * (1 + 3 * xi))
+    b_sigma = sigma * (3 + 5 * xi + 4 * xi * xi) / (n * (1 + 3 * xi))
+    cov = tg.asymptotic_covariance(tg.GpdParams(sigma, xi), n).cov_matrix
+    return tg.AsymptoticCovariance(mean_vector=(xi + b_xi, sigma + b_sigma), cov_matrix=cov)
+
+
 @pytest.mark.parametrize("n, xi", [(100, 0.25), (100, 0.0), (100, 0.5), (50, 0.25)])
 def test_moments_follow_a_shifted_normal(n, xi):
     # moments() integrates the law's own normal: centred at the Cox-Snell
     # corrected (xi + b_xi, sigma + b_sigma), not at (xi, sigma), fig-1's
     # bias is 0.8986 (2.2496 from the centre (xi, sigma) with the shifted sds)
-    law = tg.EstimatorLaw(_spec(n, xi))
-    b_xi = -(1 + xi) * (3 + xi) / (n * (1 + 3 * xi))
-    b_sigma = law.spec.sigma * (3 + 5 * xi + 4 * xi * xi) / (n * (1 + 3 * xi))
-    law.normal = law.normal._replace(mu_u=xi + b_xi, mu_v=law.spec.sigma + b_sigma)
+    shifted = _cox_snell_law(_spec(n, xi))
+    law = tg.EstimatorLaw(_spec(n, xi), law=shifted)
+    assert (law.normal.mu_u, law.normal.mu_v) == shifted.mean_vector
     bias, var = law.moments()
     mean, ref_var = _gauss_hermite_moments(law)
     assert bias == pytest.approx(mean - law.q_true, rel=1e-10, abs=0.0)
@@ -891,24 +904,57 @@ def test_moments_follow_a_shifted_normal(n, xi):
     assert var == pytest.approx(ref_var, rel=1e-10, abs=0.0)
 
 
-def test_replaced_normal_gets_its_own_u_rule(fig1_spec):
-    # the u-rule belongs to the normal it was built from: a law used once and
-    # then given the Cox-Snell centre with a 3x sd_u answers as a fresh law
-    # with that normal, bit for bit (the stale rule read G(1e300) = 0.99943)
-    def shifted(law):
-        n, xi, sigma = law.spec.n, law.spec.xi, law.spec.sigma
-        b_xi = -(1 + xi) * (3 + xi) / (n * (1 + 3 * xi))
-        b_sigma = sigma * (3 + 5 * xi + 4 * xi * xi) / (n * (1 + 3 * xi))
-        return law.normal._replace(mu_u=xi + b_xi, mu_v=sigma + b_sigma,
-                                   sd_u=3.0 * law.normal.sd_u)
+@pytest.mark.parametrize("n, xi", [(100, 0.25), (50, 0.5), (1000, 0.5)])
+def test_passed_law_equals_the_default_bit_for_bit(n, xi):
+    # law=asymptotic_covariance(...) is what law=None builds: the same
+    # normal, so every method returns the same bits
+    spec = _spec(n, xi)
+    default = tg.EstimatorLaw(spec)
+    passed = tg.EstimatorLaw(spec, law=tg.asymptotic_covariance(tg.GpdParams(1.0, xi), n))
+    assert passed.normal == default.normal
+    probs = np.array([1e-12, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-12])
+    np.testing.assert_array_equal(passed.quantile(probs), default.quantile(probs))
+    z = np.linspace(*default.quantile((1e-6, 1 - 1e-6)), 257)
+    for method in ("cdf", "sf", "density"):
+        np.testing.assert_array_equal(getattr(passed, method)(z), getattr(default, method)(z))
+    assert passed.moments() == default.moments()
+    assert passed.stats() == default.stats()
 
-    reused, fresh = tg.EstimatorLaw(fig1_spec), tg.EstimatorLaw(fig1_spec)
-    reused.cdf(20.0)
-    reused.normal, fresh.normal = shifted(reused), shifted(fresh)
-    q = np.array([5.0, 20.0, 60.0, 1e300])
-    np.testing.assert_array_equal(reused.cdf(q), fresh.cdf(q))
-    np.testing.assert_array_equal(reused.sf(q), fresh.sf(q))
-    assert reused.stats().normalization_defect == fresh.stats().normalization_defect
+
+def test_normal_and_u_rule_are_read_only(fig1_spec):
+    # the normal is fixed at construction, so no law can hold a u-rule
+    # of another normal
+    law = tg.EstimatorLaw(fig1_spec)
+    normal, rule = law.normal, law.u_rule
+    with pytest.raises(AttributeError):
+        law.normal = normal._replace(sd_u=3.0 * normal.sd_u)
+    with pytest.raises(AttributeError):
+        law.u_rule = rule._replace(mass=2.0)
+    assert law.normal is normal and law.u_rule is rule
+
+
+_FIG1_COV = [[0.015625, -0.0125], [-0.0125, 0.025]]
+
+
+@pytest.mark.parametrize("mean, cov, lacks", [
+    ((0.25, math.nan), _FIG1_COV, "a mean of two finite numbers"),
+    ((math.inf, 1.0), _FIG1_COV, "a mean of two finite numbers"),
+    ((0.25, 1.0, 0.0), _FIG1_COV, "a mean of two finite numbers"),
+    ((0.25, 1.0), [[0.015625, math.nan], [math.nan, 0.025]], "a finite 2x2 covariance"),
+    ((0.25, 1.0), [[0.015625, -0.0125], [-0.0125, math.inf]], "a finite 2x2 covariance"),
+    ((0.25, 1.0), np.eye(3), "a finite 2x2 covariance"),
+    ((0.25, 1.0), [0.015625, -0.0125, -0.0125, 0.025], "a finite 2x2 covariance"),
+    ((0.25, 1.0), [[0.015625, -0.0125], [-0.0126, 0.025]], "a symmetric covariance"),
+    ((0.25, 1.0), [[0.0, 0.0], [0.0, 0.025]], "c00 > 0"),
+    ((0.25, 1.0), [[-0.015625, 0.0], [0.0, 0.025]], "c00 > 0"),
+    ((0.25, 1.0), [[1.0, 1.0], [1.0, 1.0]], "c11 - c01^2/c00 > 0"),
+    ((0.25, 1.0), [[1.0, 2.0], [2.0, 1.0]], "c11 - c01^2/c00 > 0"),
+    ((0.25, 1.0), [[1.0, 2.0], [3.0]], "AsymptoticCovariance of numbers"),
+    (("a", 1.0), _FIG1_COV, "AsymptoticCovariance of numbers"),
+])
+def test_malformed_law_raises_validation_error(fig1_spec, mean, cov, lacks):
+    with pytest.raises(tg.ValidationError, match=re.escape(lacks)):
+        tg.EstimatorLaw(fig1_spec, law=tg.AsymptoticCovariance(mean_vector=mean, cov_matrix=cov))
 
 
 def test_series_leading_coefficients():
