@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import gzip
 import hashlib
 import itertools
@@ -729,3 +730,66 @@ def test_cli_import_leaves_scipy_out(small_series, tmp_path):
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.splitlines() == ["[]"] * 4 + ["['numpy.random']"]
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    # only the program entry freezes: in-process callers keep their collector
+    assert main(_cheap_argv("simulate") + ["--out", str(tmp_path / "s.json")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_entry_freezes_before_main(monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda: 7 if gc.get_freeze_count() else 0)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+    finally:
+        gc.unfreeze()
+    assert exc.value.code == 7
+
+
+def _main_exit(argv):
+    """``main(argv)``'s exit code, that of an argparse exit included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["correct", "--q-hat", "20.969", "--n", "100", "--xi", "0.25"], 0),
+    (["simulate", "--n", "50", "--xi", "0.25", "--replications", "100",
+      "--out", "{out}"], 0),
+    (["density", "--n", "30", "--xi", "0.25"], 2),    # outside the region
+    (["simulate", "--n", "50", "--xi", "0.25"], 2),   # no --out
+    (["fit", "{heavy}", "--alpha", "0.99999"], 3),    # the variance overflows
+    (["fit", "{missing}"], 4),
+])
+def test_module_entry_matches_main(argv, code, tmp_path, capsys):
+    heavy = tmp_path / "heavy.csv"
+    x = np.random.default_rng(3).pareto(0.15, 100)
+    heavy.write_text("".join(f"{float(v)!r}\n" for v in x))
+    out = tmp_path / "sim.json"
+    argv = [a.format(out=out, heavy=heavy, missing=tmp_path / "missing.csv")
+            for a in argv]
+    outputs = [out, tmp_path / "sim_hist.csv"]
+
+    def written():
+        files = {p.name: p.read_bytes() for p in outputs if p.exists()}
+        for p in outputs:
+            p.unlink(missing_ok=True)
+        return files
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(tg.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-m", "tailgauge.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    child_files = written()
+    capsys.readouterr()
+    assert (child.returncode, _main_exit(argv)) == (code, code)
+    captured = capsys.readouterr()
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    assert child_files == written()
+    assert bool(child_files) == ("--out" in argv)
+    assert child_files or child.stdout or child.stderr

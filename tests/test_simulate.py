@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,25 @@ def _config(**kw):
                 alpha=A999, seed=99)
     base.update(kw)
     return tg.SimConfig(**base)
+
+
+def _ks_every_point(samples, cdf):
+    """The KS statistic and p-value from the CDF at every sorted sample."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    f = np.asarray(cdf(x), dtype=float)
+    i = np.arange(1, x.size + 1)
+    d = max(float(np.max(i / x.size - f)), float(np.max(f - (i - 1) / x.size)))
+    return d, _kolmogorov_sf(math.sqrt(x.size) * d)
+
+
+def _counting(cdf):
+    """``cdf``, and the sizes of the arrays it is called with."""
+    sizes = []
+
+    def counted(v):
+        sizes.append(v.size)
+        return cdf(v)
+    return counted, sizes
 
 
 class TestConfigValidation:
@@ -157,8 +177,10 @@ class TestKsTest:
     def test_point_mass_at_median(self):
         p = tg.GpdParams(1.0, 0.25)
         med = tg.quantile(p, tg.ConfidenceLevel(0.5))
-        d, _ = tg.ks_test(np.full(1000, med), lambda v: tg.cdf(p, v))
+        x = np.full(1000, med)
+        d, pv = tg.ks_test(x, lambda v: tg.cdf(p, v))
         assert d == pytest.approx(0.5, abs=1e-9)
+        assert (d, pv) == _ks_every_point(x, lambda v: tg.cdf(p, v))
 
     def test_single_sample_at_median(self):
         p = tg.GpdParams(1.0, 0.25)
@@ -216,6 +238,101 @@ class TestKsTest:
         # it used to run all 100,000 terms and return 0.0
         assert math.isnan(_kolmogorov_sf(math.nan))
 
+    def test_kolmogorov_sf_matches_scipy(self):
+        # the alternating series stopped at 100,000 terms: 0.0198 at 1e-6
+        # and 0.86 at 1e-5, where the survival is 1
+        from scipy.special import kolmogorov
+        ys = np.geomspace(1e-8, 10.0, 2001)
+        ours = np.array([_kolmogorov_sf(float(y)) for y in ys])
+        np.testing.assert_allclose(ours, kolmogorov(ys), rtol=0.0, atol=5e-12)
+        assert _kolmogorov_sf(1e-6) == _kolmogorov_sf(1e-5) == 1.0
+        assert _kolmogorov_sf(5e-324) == 1.0
+
+    def test_kolmogorov_sf_keeps_its_series_from_the_switch_up(self):
+        def series(y):
+            total, sign, k = 0.0, 1.0, 1
+            while (term := math.exp(-2.0 * k * k * y * y)) >= 1e-12:
+                total, sign, k = total + sign * term, -sign, k + 1
+            return min(1.0, max(0.0, 2.0 * total))
+
+        for y in np.geomspace(simulate._KS_SMALL_Y, 10.0, 500):
+            assert _kolmogorov_sf(float(y)) == series(float(y))
+
+
+def _mc_case(n, xi, reps, seed):
+    """q_hat of a Monte Carlo run, and the CDF of its estimator law."""
+    rep = tg.run(tg.SimConfig(n=n, replications=reps, params=tg.GpdParams(1.0, xi),
+                              alpha=A999, seed=seed))
+    spec = tg.DensitySpec(n=n, alpha=A999, sigma=1.0, xi=xi, allow_unvalidated=True)
+    return rep, lambda v: tg.cdf_of_estimator(spec, v)
+
+
+class TestAnchoredKs:
+    """The KS test reads the CDF at anchors and at the samples that can set
+    D, and gets the D and p of the CDF at every sample."""
+
+    @pytest.mark.parametrize("n, xi, reps, seed", [
+        (100, 0.25, 2000, 3), (100, 0.25, 2000, 5), (100, 0.25, 2000, 11),
+        (100, 0.25, 2000, 12), (100, 0.25, 2000, 301), (100, 0.25, 2000, 777),
+        (50, 0.5, 2000, 1), (1000, 0.1, 2000, 1), (100, 0.0, 2000, 1)])
+    def test_monte_carlo_runs_equal_every_point(self, n, xi, reps, seed):
+        rep, cdf = _mc_case(n, xi, reps, seed)
+        counted, sizes = _counting(cdf)
+        ks = tg.ks_test(rep.q_hat_samples, counted)
+        assert ks == (rep.ks_statistic, rep.ks_p_value)
+        assert ks == _ks_every_point(rep.q_hat_samples, cdf)
+        assert len(sizes) == 2 and sum(sizes) <= 400 * reps / 2000
+
+    def test_criterion_6_fixture_equals_every_point(self, fig1_report, fig1_spec):
+        ks = (fig1_report.ks_statistic, fig1_report.ks_p_value)
+        assert ks == _ks_every_point(fig1_report.q_hat_samples,
+                                     lambda v: tg.cdf_of_estimator(fig1_spec, v))
+        assert ks[0] == pytest.approx(0.0833, abs=5e-5)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8, 9, 17, 100])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_small_samples_with_ties_equal_every_point(self, size, seed):
+        p = tg.GpdParams(1.0, 0.25)
+        x = np.round(tg.sample(p, np.random.default_rng(seed), size), 1)
+        counted, sizes = _counting(lambda v: tg.cdf(p, v))
+        assert tg.ks_test(x, counted) == _ks_every_point(x, lambda v: tg.cdf(p, v))
+        assert sum(sizes) <= size   # each sample is read once at most
+
+    def test_decreasing_anchors_read_every_point(self):
+        # 1 - F is no CDF: its anchors decrease, so no bound holds
+        p = tg.GpdParams(1.0, 0.25)
+        x = tg.sample(p, np.random.default_rng(8), 1000)
+        counted, sizes = _counting(lambda v: 1.0 - tg.cdf(p, v))
+        assert tg.ks_test(x, counted) == _ks_every_point(x, lambda v: 1.0 - tg.cdf(p, v))
+        assert sizes == [126, 1000]
+
+    def test_ulp_level_dips_stay_on_the_anchored_path(self):
+        # samples 1e-15 apart, where the CDF rises about 10 ulp of 1 from one
+        # anchor to the next: 100 ulp dips at every other anchor make the
+        # anchor values decrease, by less than the slack.  D is set at the
+        # first sample, an anchor, so no sample between anchors is read
+        p = tg.GpdParams(1.0, 0.25)
+        x = 1.0 + 1e-15 * np.arange(1000)
+        dips = set(x[::16].tolist())
+
+        def cdf(v):
+            dip = np.array([t in dips for t in v.tolist()], dtype=float)
+            return tg.cdf(p, v) - 100 * np.finfo(float).eps * dip
+        counted, sizes = _counting(cdf)
+        anchors = cdf(x[::8])
+        assert (np.diff(anchors) < 0).any()
+        assert tg.ks_test(x, counted) == _ks_every_point(x, cdf)
+        assert sizes == [126]
+
+    def test_values_outside_the_unit_interval_rejected_between_anchors(self):
+        def cdf(v):
+            f = np.linspace(0.1, 0.9, v.size)
+            if v.size < 9:
+                f[-1] = 1.5   # read between the anchors 0, 8 and 9
+            return f
+        with pytest.raises(tg.ValidationError, match=r"\[0, 1\]"):
+            tg.ks_test(np.arange(10.0), cdf)
+
 
 class TestRun:
     def test_report_accounting(self, fig1_report):
@@ -267,6 +384,23 @@ def test_debug_log_reports_stages(caplog):
     assert f"150 replications, {rep.failed_fits} failed fits" in msg
     for stage in ("sample", "fit", "quantile", "ks"):
         assert f" {stage} " in msg
+
+
+def test_debug_log_reports_ks_points(caplog, monkeypatch):
+    reads = []
+
+    def cdf(spec, v):
+        reads.append(v.size)
+        return tg.cdf_of_estimator(spec, v)
+    monkeypatch.setattr(simulate, "cdf_of_estimator", cdf)
+    with caplog.at_level(logging.DEBUG, logger="tailgauge"):
+        rep = tg.run(_config(n=100, replications=2000, seed=3))
+    (msg,) = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("simulate run")]
+    points = re.search(r" ks \d+\.\d{3} \((\d+) of (\d+) points\)$", msg)
+    assert points and len(reads) == 2
+    assert (int(points[1]), int(points[2])) == (sum(reads), rep.q_hat_samples.size)
+    assert sum(reads) <= 400
 
 
 class TestMleAsymptotics:
