@@ -10,7 +10,9 @@ exponential limit and large w the heavy-tail side.  The profile can have
 more than one peak, so every local maximum of a 16-point w-grid is polished
 between its neighbours by Brent's method (parabolic steps with a
 golden-section fallback, Brent 1973), and the best polished point wins.
-Working in units of x/max(x) keeps the fit scale-equivariant.
+Working in units of x/max(x) keeps the fit scale-equivariant, and the
+profile's value at the chosen point, less n*log(max(x)), is the
+log-likelihood the fit reports: there is no second likelihood pass.
 
 The search runs row-wise over an (R, n) block of samples (``fit_batch``):
 each row keeps its own grid, and each of its peaks its own bracket and
@@ -63,8 +65,8 @@ class MleEstimate:
     converged: bool
 
     def __post_init__(self):
-        if not self.sigma_hat > 0.0:
-            raise ValidationError(f"sigma_hat must be positive, got {self.sigma_hat}")
+        if not 0.0 < self.sigma_hat < math.inf:
+            raise ValidationError(f"sigma_hat must be positive finite, got {self.sigma_hat}")
 
 
 @dataclass(frozen=True)
@@ -85,32 +87,24 @@ class AsymptoticCovariance:
     cov_matrix: np.ndarray
 
 
-def _loglik(xi, sigma, x: np.ndarray):
-    """Raw GPD log-likelihood of each row of ``x``; -inf outside the support.
+def log_likelihood(p: GpdParams, data) -> float:
+    """Sum of log densities of ``data`` under ``p`` (-inf outside the support).
 
-    ``xi`` and ``sigma`` hold one value per row (scalars for a 1-D ``x``).
     The exponential limit is taken only where xi*x/sigma underflows to zero or
     a subnormal, the one place log1p loses precision.
     """
-    xi, sigma = np.asarray(xi, dtype=float), np.asarray(sigma, dtype=float)
-    z = (xi / sigma)[..., None] * x
-    z_min, z_max = z.min(axis=-1), z.max(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.log1p(z, out=z).sum(axis=-1)
-        tail = np.where(np.maximum(z_max, -z_min) >= _TINY, s + s / xi,
-                        x.sum(axis=-1) / sigma)
-        ll = -x.shape[-1] * np.log(sigma) - tail
-    return np.where((sigma > 0.0) & np.isfinite(sigma) & (z_min > -1.0), ll, -np.inf)
-
-
-def log_likelihood(p: GpdParams, data) -> float:
-    """Sum of log densities of ``data`` under ``p`` (-inf outside the support)."""
-    x = np.asarray(data, dtype=float)
+    x = np.asarray(data, dtype=float).ravel()
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValidationError("data must be a nonempty sequence of finite values")
-    if x.min() < 0.0:
+    z = (p.xi / p.sigma) * x
+    if x.min() < 0.0 or not z.min() > -1.0:
         return -math.inf
-    return float(_loglik(p.xi, p.sigma, x.ravel()))
+    if max(z.max(), -z.min()) >= _TINY:
+        s = np.log1p(z).sum()
+        tail = s + s / p.xi
+    else:
+        tail = x.sum() / p.sigma
+    return float(-x.size * np.log(p.sigma) - tail)
 
 
 def _profile(w: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +229,9 @@ def _fit_rows(x: np.ndarray):
 
     Raises as ``fit_batch`` documents, divides each row by its maximum in
     place and allocates nothing else of the block's size.  Returns the
-    row-wise ``xi``, ``sigma`` and ``converged``; no log-likelihood, which the
-    Monte Carlo loop never reads.
+    row-wise ``xi``, ``sigma``, log-likelihood (the last profile pass's
+    value, less n*log(max)) and ``converged``, which is False where sigma
+    overflows a double.
     """
     scale = _check_rows(x)
     y = np.divide(x, scale[:, None], out=x)   # in place: y is x
@@ -249,7 +244,7 @@ def _fit_rows(x: np.ndarray):
     y_j = np.empty(rows)
     for sl in _row_slices(rows, n):
         y_j[sl] = np.partition(y[sl], j, axis=1)[:, j]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         w_hi = np.where(y_j > 0.0, np.minimum(np.log1p(10.0 / y_j), _W_MAX), _W_MAX)
     w_lo = -math.log1p(n)
     grid = np.linspace(np.full(rows, w_lo), w_hi, _N_GRID, axis=1)
@@ -275,9 +270,9 @@ def _fit_rows(x: np.ndarray):
     order = np.lexsort((-f, cand_r))
     pick = order[np.r_[True, cand_r[order[1:]] != cand_r[order[:-1]]]]
     w, a, b = w[pick], a[pick], b[pick]
-    xi = _profile(w, y, every)[1]
+    val, xi = _profile(w, y, every)
     theta = np.expm1(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sigma = scale * xi / theta
     # the exponential limit: sigma is the sample mean
     at_zero = theta == 0.0
@@ -285,14 +280,14 @@ def _fit_rows(x: np.ndarray):
         sigma[at_zero] = scale[at_zero] * y[at_zero].mean(axis=1)
     # a maximizer whose final bracket still touches an end of the grid,
     # w_lo or w_hi, is the bracket's edge, not a stationary point
-    converged = (a > w_lo) & (b < w_hi)
+    converged = (a > w_lo) & (b < w_hi) & np.isfinite(sigma)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("mle fit_batch: %d rows of n=%d, %d polish rounds, "
                    "%d rows with several grid peaks, %d box-edge hits, "
                    "%d not converged", rows, n, rounds,
                    int((np.bincount(cand_r, minlength=rows) > 1).sum()),
                    int(np.isin(xi, XI_BOX).sum()), int((~converged).sum()))
-    return xi, sigma, converged
+    return xi, sigma, val - n * np.log(scale), converged
 
 
 def fit_batch(data) -> MleBatch:
@@ -301,17 +296,12 @@ def fit_batch(data) -> MleBatch:
     Every row gets the search of ``fit``, so row r of the result equals
     ``fit(data[r])`` bit for bit; ``data`` is left unchanged.  Raises
     ValidationError, naming the row, for fewer than two points per row, and
-    for a row that is not finite, has negative values or is constant.
+    for a row that is not finite, has negative values or is constant.  A
+    row whose fitted sigma overflows a double is reported as not converged.
     """
-    x = np.asarray(data, dtype=float)
-    # the search scales a copy, freed when it returns: x and the copy are
-    # the only (R, n) arrays, and every other pass over the block runs a
-    # _row_slices slice at a time
-    xi, sigma, converged = _fit_rows(x.copy())
-    ll = np.empty(x.shape[0])
-    for sl in _row_slices(*x.shape):
-        ll[sl] = _loglik(xi[sl], sigma[sl], x[sl])
-    return MleBatch(xi_hat=xi, sigma_hat=sigma, log_likelihood=ll, converged=converged)
+    # the search scales a copy, freed when it returns: the input and the
+    # copy are the only (R, n) arrays
+    return MleBatch(*_fit_rows(np.array(data, dtype=float, order="C")))
 
 
 def fit(data) -> MleEstimate:
@@ -319,7 +309,8 @@ def fit(data) -> MleEstimate:
 
     The one-row case of ``fit_batch``.  Raises ValidationError for data that
     are not one-dimensional, fewer than two points, negative values, or
-    constant data.  A maximizer found at the
+    constant data, and NumericalError when the fitted sigma overflows a
+    double.  A maximizer found at the
     edge of the search bracket (the likelihood may be unbounded when many
     points are zero) is reported via ``converged=False`` rather than an
     exception.
@@ -328,6 +319,8 @@ def fit(data) -> MleEstimate:
     if x.ndim != 1:
         raise ValidationError(f"data must be one-dimensional, got shape {x.shape}")
     est = fit_batch(x[None, :])
+    if not np.isfinite(est.sigma_hat[0]):
+        raise NumericalError(f"the fitted sigma overflows a double (max(x)={x.max():g})")
     return MleEstimate(
         xi_hat=float(est.xi_hat[0]),
         sigma_hat=float(est.sigma_hat[0]),

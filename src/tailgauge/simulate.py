@@ -113,7 +113,7 @@ def _replicate(config: SimConfig):
             x[sl] = _from_uniform(config.params, x[sl])
         t1 = time.perf_counter()
         # the search checks the rows and scales them in place
-        xi_hat[start:stop], sigma_hat[start:stop], ok[start:stop] = _fit_rows(x)
+        xi_hat[start:stop], sigma_hat[start:stop], _, ok[start:stop] = _fit_rows(x)
         stages["sample"] += t1 - t0
         stages["fit"] += time.perf_counter() - t1
     failed = int((~ok).sum())
@@ -161,8 +161,9 @@ def ks_test(samples, theoretical_cdf) -> tuple[float, float]:
 
     Returns (D, p) with the asymptotic Kolmogorov p-value; the goodness-of-fit
     family is this harness's choice, reported as such downstream.  Raises
-    ValidationError for a sample that is not finite, and for CDF values that
-    are not finite or fall outside [0, 1] at any sample it reads.
+    ValidationError for samples that are not a nonempty one-dimensional
+    sequence of finite values, and for CDF values that are not finite or
+    fall outside [0, 1] at any sample it reads.
 
     ``theoretical_cdf`` maps an array of sorted samples to their CDF values,
     and must be nondecreasing to within ``_KS_SLACK``.  It is read first at
@@ -175,9 +176,10 @@ def ks_test(samples, theoretical_cdf) -> tuple[float, float]:
     statistic of the CDF's values at every sample, as long as the callable
     returns the same value at a sample whatever other samples it is given.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
-    if x.size == 0:
-        raise ValidationError("samples must be nonempty")
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValidationError(f"samples must be nonempty, one-dimensional; got shape {x.shape}")
+    x = np.sort(x)
     if not np.isfinite(x).all():
         raise ValidationError("samples must be finite")
     n = x.size
@@ -221,7 +223,8 @@ def _kolmogorov_sf(y: float) -> float:
     Tsang & Wang 2003), of which the first term is the double sum: the
     second is below e^-246 of it there.  Above, the alternating series
     2 * sum_k (-1)^(k-1) exp(-2 k^2 y^2), truncated once terms drop below
-    ``_KS_TERM_TOL``, which takes at most 19 terms from ``_KS_SMALL_Y`` up.
+    ``_KS_TERM_TOL``, which takes at most 19 terms from ``_KS_SMALL_Y`` up;
+    past y = 3.717, where the first term is below it, that term is the sum.
     """
     if math.isnan(y):
         return math.nan
@@ -238,7 +241,8 @@ def _kolmogorov_sf(y: float) -> float:
             break
         total += sign * term
         sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
+    # total is 0 only where the series stopped before its first term
+    return min(1.0, max(0.0, 2.0 * (total or term)))
 
 
 def check_mle_asymptotics(config: SimConfig):

@@ -764,13 +764,18 @@ def _main_exit(argv):
     (["simulate", "--n", "50", "--xi", "0.25"], 2),   # no --out
     (["fit", "{heavy}", "--alpha", "0.99999"], 3),    # the variance overflows
     (["fit", "{missing}"], 4),
+    (["fit", "{huge}"], 3),                           # the fitted sigma overflows
 ])
 def test_module_entry_matches_main(argv, code, tmp_path, capsys):
     heavy = tmp_path / "heavy.csv"
     x = np.random.default_rng(3).pareto(0.15, 100)
     heavy.write_text("".join(f"{float(v)!r}\n" for v in x))
+    # valid values whose tail fit has sigma_hat beyond a double; the child
+    # used to print two RuntimeWarnings and exit 2
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(f"{v!r}\n" for v in [*range(199), 1e308, 1e307, 5e307]))
     out = tmp_path / "sim.json"
-    argv = [a.format(out=out, heavy=heavy, missing=tmp_path / "missing.csv")
+    argv = [a.format(out=out, heavy=heavy, huge=huge, missing=tmp_path / "missing.csv")
             for a in argv]
     outputs = [out, tmp_path / "sim_hist.csv"]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tailgauge as tg
 from tailgauge import mle, quadrature
-from tailgauge.mle import XI_BOX, _fit_rows, _loglik, fit_batch
+from tailgauge.mle import XI_BOX, _fit_rows, fit_batch
 
 A999 = tg.ConfidenceLevel(0.999)
 
@@ -93,11 +93,21 @@ class TestFit:
         with pytest.raises(tg.ValidationError, match="one-dimensional"):
             tg.fit([[1.0, 2.0], [3.0, 4.0]])
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_estimate_needs_positive_sigma(self, sigma):
         with pytest.raises(tg.ValidationError, match="sigma_hat must be positive"):
             tg.MleEstimate(xi_hat=0.1, sigma_hat=sigma, log_likelihood=0.0, n=10,
                            converged=True)
+
+    def test_sigma_overflow_is_a_numerical_error(self):
+        # it used to warn twice and return sigma_hat = inf
+        with pytest.raises(tg.NumericalError, match="sigma overflows a double"):
+            tg.fit(_HUGE)
+
+    def test_huge_values_fit_without_overflow_warnings(self):
+        # 10/y_j overflows in the bracket of w; it is clipped to _W_MAX anyway
+        est = tg.fit([1e-10, 1e-10] + [1e298 * k for k in range(1, 12)])
+        assert math.isfinite(est.sigma_hat) and est.converged
 
     def test_profile_at_the_exponential_limit(self):
         # theta = 0 is the limit of its neighbours: -n (log mean(y) + 1)
@@ -116,6 +126,10 @@ class TestFit:
         got = fit_batch(x)
         np.testing.assert_array_equal(got.xi_hat, 0.0)
         np.testing.assert_allclose(got.sigma_hat, x.mean(axis=1), rtol=1e-15)
+        # the profile's value there is the exponential row's likelihood
+        for r in range(x.shape[0]):
+            assert got.log_likelihood[r] == pytest.approx(tg.log_likelihood(
+                tg.GpdParams(got.sigma_hat[r], 0.0), x[r]), rel=1e-12)
 
     def test_equivariance_under_scaling(self):
         rng = np.random.default_rng(13)
@@ -145,12 +159,13 @@ class TestFit:
             x = tg.sample(tg.GpdParams(1.0, 0.2), rng, 200)
             est = tg.fit(x)
             assert est.converged
-            center = _loglik(est.xi_hat, est.sigma_hat, x)
+            center = tg.log_likelihood(tg.GpdParams(est.sigma_hat, est.xi_hat), x)
             for dx in (-1e-4, 0.0, 1e-4):
                 for ds in (-1e-4, 0.0, 1e-4):
                     if dx == ds == 0.0:
                         continue
-                    ll = _loglik(est.xi_hat * (1 + dx), est.sigma_hat * (1 + ds), x)
+                    ll = tg.log_likelihood(tg.GpdParams(est.sigma_hat * (1 + ds),
+                                                        est.xi_hat * (1 + dx)), x)
                     assert ll <= center + 1e-9
 
 
@@ -161,6 +176,8 @@ def test_box_edge_optimum_beats_grid_through_the_edge(xi, n, edge):
     x = tg.sample(tg.GpdParams(1.0, xi), np.random.default_rng(16), n)
     est = tg.fit(x)
     assert est.xi_hat == XI_BOX[edge]
+    # the profile at a clipped xi is the likelihood at that xi
+    _reports_its_likelihood(est, x)
     # the same row inside a batch of interior fits lands on the edge too
     others = [tg.sample(tg.GpdParams(1.0, 0.25), np.random.default_rng(k), n)
               for k in range(3)]
@@ -204,10 +221,11 @@ class TestFitBatch:
         tg.fit(row)
         assert row.tobytes() == x[7].tobytes()
         owned = x.copy()
-        xi, sigma, converged = _fit_rows(owned)
+        xi, sigma, ll, converged = _fit_rows(owned)
         np.testing.assert_array_equal(owned, x / x.max(axis=1)[:, None])
         np.testing.assert_array_equal(xi, batch.xi_hat)
         np.testing.assert_array_equal(sigma, batch.sigma_hat)
+        np.testing.assert_array_equal(ll, batch.log_likelihood)
         np.testing.assert_array_equal(converged, batch.converged)
 
     @pytest.mark.parametrize("n", [3, 100])
@@ -238,6 +256,16 @@ class TestFitBatch:
         with pytest.raises(tg.ValidationError, match=what):
             tg.fit(x[3])
 
+    def test_sigma_overflow_row_is_not_converged(self):
+        # the Monte Carlo loop counts such a row as a failed fit
+        x = np.stack([[1.0, 2.0, 3.0, 5.0], _HUGE, [0.5, 1.5, 0.25, 4.0]])
+        batch = fit_batch(x)
+        assert batch.sigma_hat[1] == math.inf and not batch.converged[1]
+        for r in (0, 2):
+            est = tg.fit(x[r])
+            assert (est.sigma_hat, est.converged) == (batch.sigma_hat[r],
+                                                      batch.converged[r])
+
     @pytest.mark.parametrize("shape", [(0, 10), (4, 1), (10,), (2, 3, 4)])
     def test_shape_validated(self, shape):
         with pytest.raises(tg.ValidationError):
@@ -260,6 +288,9 @@ class TestFitBatch:
         (msg,) = [r.getMessage() for r in caplog.records if r.name == "tailgauge"]
         assert "1 rows with several grid peaks" in msg
 
+
+# valid data whose fitted sigma (at xi = 5) overflows a double
+_HUGE = [1e308, 1e307, 5e307, 1.0]
 
 # the profile in w has two local maxima: at w = -1.30 (xi clipped to -0.49)
 # it scores -7.918392, and at w = 0.357 it scores -7.919049
@@ -299,6 +330,12 @@ def _same_fit(a, b, ll_shift=0.0):
     assert abs(a.xi_hat - b.xi_hat) <= 1e-6
 
 
+def _reports_its_likelihood(est, x):
+    """The search's own log-likelihood is that of the data at its estimate."""
+    assert est.log_likelihood == pytest.approx(
+        tg.log_likelihood(tg.GpdParams(est.sigma_hat, est.xi_hat), x), rel=1e-12)
+
+
 _SAMPLES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 300),
                 xi=st.floats(-0.45, 1.5))
 
@@ -309,6 +346,8 @@ class TestFitProperties:
     def test_scale_equivariance(self, seed, n, xi, c):
         x = _gpd_sample(seed, n, xi)
         base, scaled = tg.fit(x), tg.fit(c * x)
+        _reports_its_likelihood(base, x)
+        _reports_its_likelihood(scaled, c * x)
         _same_fit(scaled, base, ll_shift=-n * math.log(c))
         if base.converged:
             assert scaled.sigma_hat == pytest.approx(c * base.sigma_hat, rel=1e-5)
@@ -317,7 +356,9 @@ class TestFitProperties:
     @given(**_SAMPLES)
     def test_permutation_invariance(self, seed, n, xi):
         x = _gpd_sample(seed, n, xi)
-        _same_fit(tg.fit(np.random.default_rng(seed).permutation(x)), tg.fit(x))
+        est = tg.fit(x)
+        _reports_its_likelihood(est, x)
+        _same_fit(tg.fit(np.random.default_rng(seed).permutation(x)), est)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(step=st.floats(0.05, 2.0), **_SAMPLES)
@@ -330,8 +371,7 @@ class TestFitProperties:
             return
         est = tg.fit(x)
         assert XI_BOX[0] <= est.xi_hat <= XI_BOX[1] and est.sigma_hat > 0.0
-        assert est.log_likelihood == pytest.approx(
-            float(_loglik(est.xi_hat, est.sigma_hat, x)), rel=1e-12)
+        _reports_its_likelihood(est, x)
         _same_fit(tg.fit(x[::-1]), est)
 
 

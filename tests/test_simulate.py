@@ -192,6 +192,12 @@ class TestKsTest:
         with pytest.raises(tg.ValidationError):
             tg.ks_test([], lambda v: v)
 
+    @pytest.mark.parametrize("samples", [3.0, np.ones((2, 2))])
+    def test_samples_must_be_one_dimensional(self, samples):
+        # numpy's AxisError and a bare IndexError before
+        with pytest.raises(tg.ValidationError, match="one-dimensional"):
+            tg.ks_test(samples, lambda v: np.full(v.shape, 0.5))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
         # a NaN used to count as a sample: (0.5904, 0.2466)
@@ -247,6 +253,11 @@ class TestKsTest:
         np.testing.assert_allclose(ours, kolmogorov(ys), rtol=0.0, atol=5e-12)
         assert _kolmogorov_sf(1e-6) == _kolmogorov_sf(1e-5) == 1.0
         assert _kolmogorov_sf(5e-324) == 1.0
+        # far in the tail the leading term: it used to be 0 from y = 3.72 up
+        ys = np.linspace(3.6, 26.0, 2241)
+        ours = np.array([_kolmogorov_sf(float(y)) for y in ys])
+        np.testing.assert_allclose(ours, kolmogorov(ys), rtol=1e-12, atol=0.0)
+        assert _kolmogorov_sf(8.33) == pytest.approx(1.07e-60, rel=1e-2)
 
     def test_kolmogorov_sf_keeps_its_series_from_the_switch_up(self):
         def series(y):
@@ -255,8 +266,11 @@ class TestKsTest:
                 total, sign, k = total + sign * term, -sign, k + 1
             return min(1.0, max(0.0, 2.0 * total))
 
-        for y in np.geomspace(simulate._KS_SMALL_Y, 10.0, 500):
-            assert _kolmogorov_sf(float(y)) == series(float(y))
+        # where the first term is below the tolerance (y > 3.717), the
+        # series returned 0 and the survival is now that term
+        for y in map(float, np.geomspace(simulate._KS_SMALL_Y, 10.0, 500)):
+            first = math.exp(-2.0 * y * y)
+            assert _kolmogorov_sf(y) == (series(y) if first >= 1e-12 else 2.0 * first)
 
 
 def _mc_case(n, xi, reps, seed):
@@ -370,7 +384,8 @@ class TestRun:
     def test_degenerate_when_fits_fail(self, monkeypatch):
         def bad_fit(x):
             rows = len(x)
-            return np.full(rows, 0.1), np.ones(rows), np.zeros(rows, dtype=bool)
+            return (np.full(rows, 0.1), np.ones(rows), np.zeros(rows),
+                    np.zeros(rows, dtype=bool))
         monkeypatch.setattr(simulate, "_fit_rows", bad_fit)
         with pytest.raises(tg.NumericalError):
             tg.run(_config())
