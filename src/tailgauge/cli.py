@@ -190,7 +190,12 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+    # JSON (RFC 8259) has no infinity or NaN: a value that overflowed is exit 3
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"an output value is not finite: {exc}") from exc
+    _write(text + "\n", out_path)
 
 
 def _emit_csv(header: list[str], rows, out_path: str | None) -> None:

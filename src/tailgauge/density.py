@@ -147,8 +147,10 @@ class QuantileStats:
 
 
 def psi(u, level: ConfidenceLevel):
-    """The weight ``u / ((1-alpha)**(-u) - 1)``; positive for all real u."""
-    out = 1.0 / _scaled_expm1(u, -math.log1p(-level.alpha))
+    """The weight ``u / ((1-alpha)**(-u) - 1)``: positive, and 0 where
+    ``(1-alpha)**(-u)`` overflows a double (u above about 102.7 at alpha 0.999)."""
+    with np.errstate(over="ignore"):
+        out = 1.0 / _scaled_expm1(u, -math.log1p(-level.alpha))
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # smallest normal float: a smaller xi*t has lost precision, and the limit
 # form is exact to rounding there
@@ -68,23 +68,26 @@ def _scaled_expm1(xi, t) -> np.ndarray:
         return np.where(direct, np.expm1(z) / xi, t)
 
 
-def _log1p_over_xi(xi: float, s) -> np.ndarray:
-    """log(1 + xi*s)/xi elementwise, with the xi -> 0 limit s; a NaN xi gives NaN."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):   # 0 * inf, x / 0
+def _log1p_over_xi(xi: float, x, sigma: float) -> np.ndarray:
+    """log(1 + xi*x/sigma)/xi elementwise, with the xi -> 0 limit x/sigma; a NaN
+    xi gives NaN.  Where xi*x/sigma overflows, the log is log(xi) + log(x) -
+    log(sigma): the 1 adds nothing at that size."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):   # 0 * inf, x / 0, the overflow replaced
+        s = x / sigma
         z = xi * s
         direct = np.abs(z) >= _TINY
         direct |= np.isnan(xi)
-        return np.where(direct, np.log1p(z) / xi, s)
+        log = np.where(z < np.inf, np.log1p(z), np.log(xi) + np.log(x) - math.log(sigma))
+        return np.where(direct, log / xi, s)
 
 
 def cdf(p: GpdParams, x):
     """Distribution function; clamps to 0 below and 1 above the support, NaN at NaN."""
     x = np.asarray(x, dtype=float)
-    # evaluate only strictly inside the support so 1 + xi*s stays positive
+    # evaluate only strictly inside the support so 1 + xi*x/sigma stays positive
     inside = (x >= 0.0) & (x < p.support_upper)
-    s = np.where(inside, x, 0.0) / p.sigma
-    val = -np.expm1(-_log1p_over_xi(p.xi, s))
+    val = -np.expm1(-_log1p_over_xi(p.xi, np.where(inside, x, 0.0), p.sigma))
     out = np.select([inside, x < 0.0, x >= p.support_upper], [val, 0.0, 1.0], np.nan)
     return float(out) if out.ndim == 0 else out
 
@@ -93,16 +96,23 @@ def pdf(p: GpdParams, x):
     """Density function; zero outside the support, NaN at NaN."""
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x < p.support_upper)
-    s = np.where(inside, x, 0.0) / p.sigma
-    val = np.exp(-(1.0 + p.xi) * _log1p_over_xi(p.xi, s)) / p.sigma
+    log_term = _log1p_over_xi(p.xi, np.where(inside, x, 0.0), p.sigma)
+    val = np.exp(-(1.0 + p.xi) * log_term) / p.sigma
     out = np.select([inside, np.isnan(x)], [val, np.nan], 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def quantile(p: GpdParams, level: ConfidenceLevel) -> float:
-    """Quantile (inverse cdf) at the given confidence level."""
-    t = -math.log1p(-level.alpha)
-    return float(p.sigma * _scaled_expm1(p.xi, t))
+    """Quantile (inverse cdf) at the given confidence level.
+
+    Raises NumericalError when it overflows a double.
+    """
+    with np.errstate(over="ignore"):
+        q = float(p.sigma * _scaled_expm1(p.xi, -math.log1p(-level.alpha)))
+    if q == math.inf:
+        raise NumericalError(f"the GPD quantile overflows a double at alpha={level.alpha}, "
+                             f"sigma={p.sigma:g}, xi={p.xi:g}")
+    return q
 
 
 def mean(p: GpdParams) -> float | None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gpd import _TINY, GpdParams
+from .gpd import GpdParams, _log1p_over_xi
 from .quadrature import _row_slices
 
 _log = logging.getLogger("tailgauge")
@@ -90,20 +90,14 @@ class AsymptoticCovariance:
 def log_likelihood(p: GpdParams, data) -> float:
     """Sum of log densities of ``data`` under ``p`` (-inf outside the support).
 
-    The exponential limit is taken only where xi*x/sigma underflows to zero or
-    a subnormal, the one place log1p loses precision.
+    The log term is ``pdf``'s, ``gpd._log1p_over_xi``, and so is the support.
     """
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValidationError("data must be a nonempty sequence of finite values")
-    z = (p.xi / p.sigma) * x
-    if x.min() < 0.0 or not z.min() > -1.0:
+    if x.min() < 0.0 or not x.max() < p.support_upper:
         return -math.inf
-    if max(z.max(), -z.min()) >= _TINY:
-        s = np.log1p(z).sum()
-        tail = s + s / p.xi
-    else:
-        tail = x.sum() / p.sigma
+    tail = (1.0 + p.xi) * _log1p_over_xi(p.xi, x, p.sigma).sum()
     return float(-x.size * np.log(p.sigma) - tail)
 
 

@@ -765,6 +765,7 @@ def _main_exit(argv):
     (["fit", "{heavy}", "--alpha", "0.99999"], 3),    # the variance overflows
     (["fit", "{missing}"], 4),
     (["fit", "{huge}"], 3),                           # the fitted sigma overflows
+    (["fit", "{overflow}", "--alpha", "0.999"], 3),   # q_hat overflows
 ])
 def test_module_entry_matches_main(argv, code, tmp_path, capsys):
     heavy = tmp_path / "heavy.csv"
@@ -774,8 +775,14 @@ def test_module_entry_matches_main(argv, code, tmp_path, capsys):
     # used to print two RuntimeWarnings and exit 2
     huge = tmp_path / "huge.csv"
     huge.write_text("".join(f"{v!r}\n" for v in [*range(199), 1e308, 1e307, 5e307]))
+    # a finite sigma_hat (7.8e304) and xi_hat (1.18) whose quantiles overflow;
+    # the child used to print a RuntimeWarning and write Infinity, not JSON
+    overflow = tmp_path / "overflow.csv"
+    x = np.minimum(1e304 * np.random.default_rng(1).pareto(1.0, 2000), 1.7e308)
+    overflow.write_text("".join(f"{float(v)!r}\n" for v in x))
     out = tmp_path / "sim.json"
-    argv = [a.format(out=out, heavy=heavy, huge=huge, missing=tmp_path / "missing.csv")
+    argv = [a.format(out=out, heavy=heavy, huge=huge, overflow=overflow,
+                     missing=tmp_path / "missing.csv")
             for a in argv]
     outputs = [out, tmp_path / "sim_hist.csv"]
 

@@ -237,6 +237,12 @@ class TestPsi:
         u = np.linspace(-5.0, 5.0, 1001)
         assert np.all(tg.psi(u, A999) > 0)
 
+    def test_zero_without_a_warning_where_the_power_overflows(self):
+        # (1-alpha)**(-u) overflows a double from u = log(DBL_MAX)/log(1000) ~ 102.75
+        assert tg.psi(1000.0, A999) == 0.0
+        np.testing.assert_array_equal(tg.psi(np.array([102.0, 103.0]), A999) > 0,
+                                      [True, False])
+
     def test_series_band_continuity(self):
         # near u = 0 psi is (1/t)(1 - t u/2 + (t u)^2/12) to O((t u)^4)
         t = math.log(1000)

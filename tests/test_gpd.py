@@ -68,6 +68,11 @@ class TestQuantile:
     def test_uniform_special_case(self):
         assert tg.quantile(tg.GpdParams(1.0, -1.0), A999) == pytest.approx(0.999, abs=1e-12)
 
+    def test_overflow_is_a_numerical_error(self):
+        # sigma * expm1(xi*t)/xi is 1e300 * 2e29: no infinity, no warning
+        with pytest.raises(tg.NumericalError, match="overflows a double"):
+            tg.quantile(tg.GpdParams(1e300, 5.0), tg.ConfidenceLevel(0.999999))
+
 
 def test_moments():
     assert tg.mean(tg.GpdParams(1.0, 0.25)) == pytest.approx(4.0 / 3.0)
@@ -199,12 +204,20 @@ def test_limit_helpers_keep_a_nan_shape():
     # a NaN xi is not the xi -> 0 limit; xi = 0 against t = inf still is
     t = -math.log1p(-0.999)
     assert math.isnan(_scaled_expm1(np.nan, t))
-    assert math.isnan(_log1p_over_xi(np.nan, 2.0))
+    assert math.isnan(_log1p_over_xi(np.nan, 2.0, 1.0))
     out = _scaled_expm1(np.array([np.nan, 0.0, 0.25]), t)
     assert math.isnan(out[0])
     assert out[1:].tolist() == [t, math.expm1(0.25 * t) / 0.25]
     assert _scaled_expm1(0.0, np.inf) == np.inf
-    assert _log1p_over_xi(0.0, np.inf) == np.inf
+    assert _log1p_over_xi(0.0, np.inf, 1.0) == np.inf
+
+
+def test_cdf_and_pdf_are_quiet_where_the_log_term_overflows():
+    # xi*x/sigma is 5e308 at x = 1, and x/sigma itself 2e308 at x = 2
+    p = tg.GpdParams(1e-308, 5.0)
+    assert tg.cdf(p, [1.0, 2.0]).tolist() == [1.0, 1.0]
+    # the density, 3.6e-63 at x = 1, still underflows in exp(...)/sigma
+    assert tg.pdf(p, [1.0, 2.0]).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("xi", [0.25, 0.0, -0.5])

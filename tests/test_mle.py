@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tailgauge as tg
-from tailgauge import mle, quadrature
+from tailgauge import gpd, mle, quadrature
 from tailgauge.mle import XI_BOX, _fit_rows, fit_batch
 
 A999 = tg.ConfidenceLevel(0.999)
@@ -52,6 +53,34 @@ class TestLogLikelihood:
         expected = float(sps.genpareto(c=xi, scale=1.5).logpdf(x).sum())
         assert tg.log_likelihood(tg.GpdParams(1.5, xi), x) == pytest.approx(
             expected, rel=1e-12)
+
+    def test_logs_where_xi_x_over_sigma_overflows(self):
+        # xi*x/sigma is 5e308 at x = 1, and x/sigma itself 2e308 at x = 2; the
+        # values are 565.4256 and 564.5939, where the exact form gave -inf
+        p, log_sigma = tg.GpdParams(1e-308, 5.0), math.log(1e-308)
+        for x in (1.0, 2.0):
+            expected = -2.0 * log_sigma - 1.2 * (math.log(5.0 * x) - log_sigma)
+            assert tg.log_likelihood(p, [0.0, x]) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(xi=st.one_of(st.floats(-0.45, 4.5), st.floats(-1e-300, 1e-300)),
+           log_sigma=st.floats(math.log(1e-3), math.log(1e3)),
+           u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=50),
+           past=st.floats(0.0, 1.0))
+    def test_is_the_sum_of_log_pdf(self, xi, log_sigma, u, past):
+        p = tg.GpdParams(math.exp(log_sigma), xi)
+        x = gpd._from_uniform(p, np.array(u))   # points inside the support
+        terms = np.log(tg.pdf(p, x))
+        # 1e-12 relative, and 1e-12 a point where the terms cancel
+        assert tg.log_likelihood(p, x) == pytest.approx(
+            terms.sum(), rel=1e-12, abs=1e-12 * (np.abs(terms).sum() + x.size))
+        # a point at or past the upper end of the support, or below 0 where
+        # the support has no upper end
+        edge = p.support_upper
+        out = (min(edge * (1.0 + past), sys.float_info.max) if edge < math.inf
+               else -p.sigma * past - 1e-300)
+        assert tg.log_likelihood(p, np.append(x, out)) == -math.inf
+        assert tg.pdf(p, out) == 0.0
 
 
 class TestFit:
