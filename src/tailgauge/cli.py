@@ -247,10 +247,9 @@ def cmd_fit(args: argparse.Namespace) -> None:
         b_applied = est.sigma_hat * b_practical
         law_source = "practical_sigma_scaled"
     else:
-        law = EstimatorLaw(DensitySpec(n=sel.n_hat, alpha=alpha, sigma=est.sigma_hat,
-                                       xi=est.xi_hat, allow_unvalidated=True))
-        bias, _var = law.moments()
-        b_applied = (law.q_true + bias) - law.q_true   # the bias as stats reports it
+        _mean, b_applied, _var = EstimatorLaw(DensitySpec(
+            n=sel.n_hat, alpha=alpha, sigma=est.sigma_hat, xi=est.xi_hat,
+            allow_unvalidated=True))._reported_moments()
         law_source = "estimator_law"
     q_tilde = q_hat - b_applied
     q_big_tilde = parent_quantile_from_tail_quantile(tf, q_tilde, alpha)

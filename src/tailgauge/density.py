@@ -468,14 +468,20 @@ class EstimatorLaw:
             raise QuadratureError(f"{failed}: the variance overflows a double")
         return float(bias) * sigma, var
 
+    def _reported_moments(self) -> tuple[float, float, float]:
+        """``moments`` as every report gives them: the mean ``q_true + bias``,
+        the bias as that mean less ``q_true`` (to half an ulp of it), the variance."""
+        bias, var = self.moments()
+        mean = self.q_true + bias
+        return mean, mean - self.q_true, var
+
     def stats(self) -> QuantileStats:
         """Mean, variance and bias from ``moments``, and the normalization
         defect ``|E_u 1 - 1|``, the mass of f over the whole line on the
         u-rule (built first, so its errors come first)."""
         mass = self.u_rule.mass
-        bias, var = self.moments()
-        mean = self.q_true + bias
-        return QuantileStats(mean=mean, variance=var, bias=mean - self.q_true,
+        mean, bias, var = self._reported_moments()
+        return QuantileStats(mean=mean, variance=var, bias=bias,
                              true_quantile=self.q_true, normalization_defect=abs(mass - 1.0))
 
 
@@ -537,9 +543,6 @@ def bias_variance_surface(n_values, xi_values, alpha: ConfidenceLevel,
              for n in n_values for xi in xi_values]
     rows = []
     for spec in specs:
-        law = EstimatorLaw(spec)
-        bias, var = law.moments()
-        # the bias as stats reports it, the mean q + bias less q
-        bias = (law.q_true + bias) - law.q_true
+        _mean, bias, var = EstimatorLaw(spec)._reported_moments()
         rows.append(SurfaceRow(n=spec.n, xi=spec.xi, bias=bias, variance=var))
     return BiasSurface(alpha=alpha, sigma=sigma, rows=tuple(rows))

@@ -72,7 +72,6 @@ def _log1p_over_xi(xi: float, x, sigma: float) -> np.ndarray:
     """log(1 + xi*x/sigma)/xi elementwise, with the xi -> 0 limit x/sigma; a NaN
     xi gives NaN.  Where xi*x/sigma overflows, the log is log(xi) + log(x) -
     log(sigma): the 1 adds nothing at that size."""
-    x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):   # 0 * inf, x / 0, the overflow replaced
         s = x / sigma
         z = xi * s
@@ -82,23 +81,26 @@ def _log1p_over_xi(xi: float, x, sigma: float) -> np.ndarray:
         return np.where(direct, log / xi, s)
 
 
+def _log_pdf(p: GpdParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log density -(1 + xi)*log_term - log(sigma) at the floats ``x``, -inf off
+    the support and NaN at NaN; with the support mask and log term ``cdf`` reads."""
+    inside = (x >= 0.0) & (x < p.support_upper)
+    log_term = _log1p_over_xi(p.xi, np.where(inside, x, 0.0), p.sigma)   # 1 + xi*x/sigma > 0
+    val = -(1.0 + p.xi) * log_term - math.log(p.sigma)
+    return np.select([inside, np.isnan(x)], [val, np.nan], -np.inf), inside, log_term
+
+
 def cdf(p: GpdParams, x):
     """Distribution function; clamps to 0 below and 1 above the support, NaN at NaN."""
     x = np.asarray(x, dtype=float)
-    # evaluate only strictly inside the support so 1 + xi*x/sigma stays positive
-    inside = (x >= 0.0) & (x < p.support_upper)
-    val = -np.expm1(-_log1p_over_xi(p.xi, np.where(inside, x, 0.0), p.sigma))
-    out = np.select([inside, x < 0.0, x >= p.support_upper], [val, 0.0, 1.0], np.nan)
+    _log_f, inside, log_term = _log_pdf(p, x)
+    out = np.select([inside, x < 0.0, np.isnan(x)], [-np.expm1(-log_term), 0.0, np.nan], 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 def pdf(p: GpdParams, x):
-    """Density function; zero outside the support, NaN at NaN."""
-    x = np.asarray(x, dtype=float)
-    inside = (x >= 0.0) & (x < p.support_upper)
-    log_term = _log1p_over_xi(p.xi, np.where(inside, x, 0.0), p.sigma)
-    val = np.exp(-(1.0 + p.xi) * log_term) / p.sigma
-    out = np.select([inside, np.isnan(x)], [val, np.nan], 0.0)
+    """Density function, ``exp(_log_pdf)``; zero outside the support, NaN at NaN."""
+    out = np.exp(_log_pdf(p, np.asarray(x, dtype=float))[0])
     return float(out) if out.ndim == 0 else out
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gpd import GpdParams, _log1p_over_xi
+from .gpd import GpdParams, _log_pdf
 from .quadrature import _row_slices
 
 _log = logging.getLogger("tailgauge")
@@ -88,17 +88,12 @@ class AsymptoticCovariance:
 
 
 def log_likelihood(p: GpdParams, data) -> float:
-    """Sum of log densities of ``data`` under ``p`` (-inf outside the support).
-
-    The log term is ``pdf``'s, ``gpd._log1p_over_xi``, and so is the support.
-    """
+    """Sum of ``gpd``'s log density over ``data``; -inf if a point is outside the support."""
     x = np.asarray(data, dtype=float).ravel()
     if x.size == 0 or not np.all(np.isfinite(x)):
         raise ValidationError("data must be a nonempty sequence of finite values")
-    if x.min() < 0.0 or not x.max() < p.support_upper:
-        return -math.inf
-    tail = (1.0 + p.xi) * _log1p_over_xi(p.xi, x, p.sigma).sum()
-    return float(-x.size * np.log(p.sigma) - tail)
+    log_f = _log_pdf(p, x)[0]   # below xi = -1 a log density can round to +inf
+    return -math.inf if (log_f == -math.inf).any() else float(log_f.sum())
 
 
 def _profile(w: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

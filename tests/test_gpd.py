@@ -216,8 +216,24 @@ def test_cdf_and_pdf_are_quiet_where_the_log_term_overflows():
     # xi*x/sigma is 5e308 at x = 1, and x/sigma itself 2e308 at x = 2
     p = tg.GpdParams(1e-308, 5.0)
     assert tg.cdf(p, [1.0, 2.0]).tolist() == [1.0, 1.0]
-    # the density, 3.6e-63 at x = 1, still underflows in exp(...)/sigma
-    assert tg.pdf(p, [1.0, 2.0]).tolist() == [0.0, 0.0]
+    # the density, 3.64e-63 at x = 1, is the exp of the log-likelihood term
+    for x, f in zip((1.0, 2.0), tg.pdf(p, [1.0, 2.0])):
+        assert f == pytest.approx(math.exp(tg.log_likelihood(p, [x])), rel=1e-12,
+                                   abs=0.0)
+
+
+@pytest.mark.parametrize("sigma, xi, x, density", [
+    (1e-300, 0.0, 7.2e-298, 2.03223080242432e-13),
+    (1e-300, 0.0, 7.4e-298, 4.188739880048274e-22),
+    (1e-308, 5.0, 1.0, 3.6411284060521603e-63),
+    (1e-308, 5.0, 2.0, 1.5848931924611133e-63)])
+def test_pdf_keeps_its_precision_where_exp_alone_is_subnormal(sigma, xi, x, density):
+    # exp(-(1 + xi)*log_term) is subnormal, or 0, before the division by
+    # sigma, though the density (computed in 50-digit arithmetic) is normal
+    p = tg.GpdParams(sigma, xi)
+    f = tg.pdf(p, x)
+    assert f == pytest.approx(math.exp(tg.log_likelihood(p, [x])), rel=1e-12, abs=0.0)
+    assert f == pytest.approx(density, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("xi", [0.25, 0.0, -0.5])

@@ -62,6 +62,14 @@ class TestLogLikelihood:
             expected = -2.0 * log_sigma - 1.2 * (math.log(5.0 * x) - log_sigma)
             assert tg.log_likelihood(p, [0.0, x]) == pytest.approx(expected, rel=1e-12)
 
+    def test_a_point_outside_the_support_wins_over_an_infinite_density(self):
+        # below xi = -1 the density is unbounded at the upper end, and the log
+        # term rounds to +inf one ulp below it; a point past the end still
+        # makes the log-likelihood -inf, not inf - inf
+        p = tg.GpdParams(0.5056378869683275, -3.0)
+        edge = np.nextafter(p.support_upper, 0.0)
+        assert tg.log_likelihood(p, [edge, 2.0 * p.support_upper]) == -math.inf
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(xi=st.one_of(st.floats(-0.45, 4.5), st.floats(-1e-300, 1e-300)),
            log_sigma=st.floats(math.log(1e-3), math.log(1e3)),
